@@ -10,7 +10,7 @@ FUZZTIME ?= 5s
 
 .PHONY: build test vet race fuzz bench bench-convert bench-map bench-serve \
 	bench-recrawl bench-shard bench-stream-short docs-lint chaos chaos-drift \
-	chaos-serve scale-smoke coverage check ci-test ci-race-chaos ci-fuzz-docs
+	chaos-serve scale-smoke coverage loc check ci-test ci-race-chaos ci-fuzz-docs
 
 # Packages whose statement coverage is gated in CI (the convert hot path
 # plus the query/serving read path and the discover->mine->map stages).
@@ -193,6 +193,17 @@ bench-shard:
 	rm -rf .scale/bench
 	bin/webrev scale -n $(SCALE_DOCS) -seed $(SCALE_SEED) -shards $(SCALE_SHARDS) \
 		-dir .scale/bench -bench-out BENCH_shard.json
+
+# Code size next to the benches: non-test Go code lines of this module per
+# package directory, then the total. Blank lines and comment-only lines do
+# not count. The perfbench/ harness is its own module and is left out. The
+# CI bench-regression job prints it for the PR head and its merge base.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './perfbench/*' | \
+		xargs awk '/^[ \t]*$$/ || /^[ \t]*\/\// { next } \
+			{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d]++; total++ } \
+			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+				printf "%7d  total\n", total }'
 
 # CI matrix legs: the workflow splits `make check` into three parallel
 # jobs per Go version. Locally, `make check` remains their union.

@@ -24,9 +24,11 @@
 // materializing the intermediate corpus. -inflight caps how many documents
 // the streaming build holds at once (its backpressure bound; 0 picks the
 // default of 4x the conversion workers). With -checkpoint DIR the
-// streaming build snapshots its state there and a rerun after Ctrl-C
-// resumes instead of restarting; -quarantine DIR persists documents the
-// build dropped, for `webrev quarantine`. See ARCHITECTURE.md.
+// streaming build keeps its shard checkpoint there (state.json plus the
+// conv/ segment of converted documents), a rerun after Ctrl-C resumes
+// instead of restarting, and `webrev watch -checkpoint DIR` can seed a
+// watch from it; -quarantine DIR persists documents the build dropped, for
+// `webrev quarantine`. See ARCHITECTURE.md §4.
 //
 // -metrics FILE writes a JSON snapshot of the run's stage timing and
 // counters (the same format the pipeline's observability layer emits);
@@ -49,7 +51,7 @@ import (
 	"webrev/internal/core"
 	"webrev/internal/corpus"
 	"webrev/internal/crawler"
-	"webrev/internal/crawler/faultinject"
+	"webrev/internal/faultinject"
 	"webrev/internal/obs"
 )
 
@@ -243,7 +245,7 @@ func runStream(ctx context.Context, o options, c *crawler.Crawler, seedURL strin
 		fmt.Printf("quarantined %d of %d documents (failure ratio %.1f%%)\n",
 			len(repo.Quarantined), repo.TotalInput, repo.FailureRatio()*100)
 	}
-	fmt.Printf("peak in-flight documents %d (cap %d); %d statistic shards merged\n",
+	fmt.Printf("peak in-flight documents %d (cap %d); %d conversion workers\n",
 		snap.Gauges[obs.GaugeStreamInFlightPeak], o.inFlight, snap.Gauges[obs.GaugeStreamShards])
 	fmt.Printf("pre-mapping conformance %.1f%%, total mapping cost %d edits\n",
 		repo.ConformanceRate()*100, repo.TotalMapCost())

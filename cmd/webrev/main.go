@@ -457,9 +457,11 @@ func cmdQuarantine(args []string, w io.Writer) error {
 // cmdWatch runs the continuous-operation loop: recrawl the seed site every
 // interval, fold page deltas into the accumulator, rebuild incrementally,
 // and print (and optionally write) each cycle's drift report. With
-// -checkpoint the state survives restarts — a streaming-build checkpoint
-// (`webrev build -out DIR` is not one, but internal/core's BuildStream
-// checkpoint is) migrates into the watch format on first load.
+// -checkpoint the state survives restarts. The directory may also hold a
+// streaming build's checkpoint (`crawl -stream -checkpoint DIR`, i.e.
+// BuildStream with Config.CheckpointDir; `webrev build -out DIR` is not
+// one): its state.json and conv/ segment migrate into the watch format on
+// first load.
 func cmdWatch(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	seed := fs.String("seed", "", "seed URL every cycle starts from (required)")

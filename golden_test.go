@@ -83,13 +83,13 @@ func TestGoldenBuild(t *testing.T) {
 	}
 	// The hot-path memos must be machine-deterministic: DeriveDTD warms
 	// the compiled conformance index, so every mapped document is a memo
-	// hit, and the parallel miner folds a fixed shard count.
+	// hit, and the build merges its shard accumulators exactly once.
 	if snap.Counters["map.memo_hits"] != goldenDocs {
 		t.Errorf("map.memo_hits = %d, want %d (every Conform should reuse the precompiled index)",
 			snap.Counters["map.memo_hits"], goldenDocs)
 	}
-	if snap.Counters["mine.shards"] != 8 {
-		t.Errorf("mine.shards = %d, want the fixed build constant 8", snap.Counters["mine.shards"])
+	if st := snap.Stages["schema.merge"]; st.Count != 1 {
+		t.Errorf("schema.merge count = %d, want 1", st.Count)
 	}
 
 	got := renderGolden(t, repo, snap)

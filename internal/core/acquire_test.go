@@ -9,7 +9,7 @@ import (
 
 	"webrev/internal/corpus"
 	"webrev/internal/crawler"
-	"webrev/internal/crawler/faultinject"
+	"webrev/internal/faultinject"
 )
 
 func TestAcquire(t *testing.T) {

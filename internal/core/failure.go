@@ -244,75 +244,3 @@ func (q *QuarantineStore) Remove(id string) error {
 	os.Remove(filepath.Join(q.dir, id+".html"))
 	return nil
 }
-
-// failureSink collects per-document failures from concurrent workers and
-// forwards the dropped documents' originals to an optional persistent
-// store.
-type failureSink struct {
-	store *QuarantineStore
-
-	mu          sync.Mutex
-	quarantined []FailureRecord
-	degraded    []FailureRecord
-	storeErr    error
-}
-
-// quarantine records a dropped document; html (when non-empty) is
-// persisted for replay.
-func (s *failureSink) quarantine(rec FailureRecord, html string) {
-	s.mu.Lock()
-	s.quarantined = append(s.quarantined, rec)
-	s.mu.Unlock()
-	if s.store != nil {
-		if err := s.store.Put(rec, html); err != nil {
-			s.mu.Lock()
-			if s.storeErr == nil {
-				s.storeErr = err
-			}
-			s.mu.Unlock()
-		}
-	}
-}
-
-// degrade records a document that was kept but limited.
-func (s *failureSink) degrade(rec FailureRecord) {
-	s.mu.Lock()
-	s.degraded = append(s.degraded, rec)
-	s.mu.Unlock()
-}
-
-// restoreQuarantined registers quarantine records carried over from a
-// checkpoint, without re-persisting them (a configured store already
-// holds them from the original run).
-func (s *failureSink) restoreQuarantined(recs []FailureRecord) {
-	s.mu.Lock()
-	s.quarantined = append(s.quarantined, recs...)
-	s.mu.Unlock()
-}
-
-// snapshotQuarantined returns the quarantine records so far, sorted by
-// document source for deterministic reporting across worker interleavings.
-func (s *failureSink) snapshotQuarantined() []FailureRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := append([]FailureRecord(nil), s.quarantined...)
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
-	return out
-}
-
-// snapshotDegraded returns the degradation records so far, sorted by
-// document source.
-func (s *failureSink) snapshotDegraded() []FailureRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := append([]FailureRecord(nil), s.degraded...)
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
-	return out
-}
-
-// err returns the first quarantine-store write failure, if any.
-func (s *failureSink) err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.storeErr
-}

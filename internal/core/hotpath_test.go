@@ -11,19 +11,21 @@ import (
 )
 
 // TestDiscoverSchemaShardInvariance is the golden-determinism proof at the
-// pipeline seam: the sharded parallel fold DiscoverSchema now runs must
-// produce a schema — and a derived DTD rendering — byte-identical to a
-// fully serial fold of the same converted documents.
+// pipeline seam: the parallel miner's sharded fold must produce a schema —
+// and a derived DTD rendering — byte-identical to the serial fold
+// DiscoverSchema runs over the same converted documents.
 func TestDiscoverSchemaShardInvariance(t *testing.T) {
 	p := tracedPipeline(t, nil, 0)
 	docs := p.ConvertAll(corpusSources(t, 16, 12345))
 
-	parallel := p.DiscoverSchema(docs) // mineShards-way fold
-	acc := schema.NewAccumulator(0)
+	paths := make([]*schema.DocPaths, len(docs))
 	for i, d := range docs {
-		acc.Add(i, p.ExtractPaths(d))
+		paths[i] = p.ExtractPaths(d)
 	}
-	serial := p.MineStats(acc)
+	m := p.miner()
+	m.Shards = 8
+	parallel := p.unify(m.Discover(paths))
+	serial := p.DiscoverSchema(docs)
 
 	if !reflect.DeepEqual(parallel, serial) {
 		t.Fatalf("sharded DiscoverSchema diverged from serial fold:\n%s\nvs\n%s", parallel, serial)

@@ -7,8 +7,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"webrev/internal/concept"
 	"webrev/internal/convert"
@@ -19,7 +17,6 @@ import (
 	"webrev/internal/obs"
 	"webrev/internal/repository"
 	"webrev/internal/schema"
-	"webrev/internal/xmlout"
 )
 
 // Config parameterizes a Pipeline. Zero-value fields get the paper's
@@ -46,9 +43,10 @@ type Config struct {
 	// at least this Jaccard similarity are merged.
 	UnifySimilar float64
 	// Parallelism bounds concurrent document conversions and conformance
-	// mappings in Build, ConvertAll, BuildRepository and BuildStream (0
-	// means GOMAXPROCS). Work on distinct documents is independent; results
-	// keep input order.
+	// mappings in Build, ConvertAll, BuildRepository, BuildFromStats and
+	// BuildStream (0 means GOMAXPROCS): it is the worker count of the
+	// ordered pool they run on. Work on distinct documents is independent;
+	// results keep input order.
 	Parallelism int
 	// MaxInFlight caps how many documents BuildStream holds between
 	// acceptance from the input channel and the fold of their statistics
@@ -83,15 +81,15 @@ type Config struct {
 	// fix.
 	QuarantineDir string
 	// CheckpointDir, when set, makes BuildStream crash-resumable: the
-	// per-worker schema accumulator state, converted documents, and
-	// quarantine log are periodically snapshotted there, and a later
-	// BuildStream over the same source stream resumes from the latest
-	// snapshot instead of redoing the work. Restored Documents carry
-	// their converted XML but zero conversion Stats.
+	// build's shard checkpoint — state.json (accumulator, progress,
+	// failure records) plus the conv/ segment of converted documents — is
+	// written there, and a later BuildStream over the same source stream
+	// resumes from it instead of redoing the work. The documents of a
+	// checkpointed build are read back from the segment for mapping, so
+	// they carry their converted XML but zero conversion Stats.
 	CheckpointDir string
-	// CheckpointEvery is the number of documents folded between
-	// checkpoint snapshots (default 64). Only meaningful with
-	// CheckpointDir.
+	// CheckpointEvery is the number of documents committed between
+	// checkpoints (default 64). Only meaningful with CheckpointDir.
 	CheckpointEvery int
 	// Inject, when non-nil, fires deterministic faults (panics, delays,
 	// errors) into the per-document convert and map stages — the chaos
@@ -173,7 +171,7 @@ type Document struct {
 	Stats convert.Stats
 	// Paths caches the document's label-path representation, extracted at
 	// most once per document (ExtractPaths) and shared by every mine call
-	// and by both the batch and streaming build paths.
+	// and every build.
 	Paths *schema.DocPaths
 }
 
@@ -208,89 +206,21 @@ func (p *Pipeline) TryConvert(source, html string) (*Document, *FailureRecord) {
 // ConvertAll converts every source concurrently (bounded by
 // Config.Parallelism), preserving input order in the result.
 func (p *Pipeline) ConvertAll(sources []Source) []*Document {
-	out := make([]*Document, len(sources))
-	p.forEach(len(sources), func(i int) {
-		out[i] = p.Convert(sources[i].Name, sources[i].HTML)
+	out := make([]*Document, 0, len(sources))
+	w, next := p.workers(), 0
+	runOrdered(context.Background(), w, 4*w, func(context.Context) (Source, bool, error) {
+		if next == len(sources) {
+			return Source{}, false, nil
+		}
+		next++
+		return sources[next-1], true, nil
+	}, func(s Source) *Document {
+		return p.Convert(s.Name, s.HTML)
+	}, func(d *Document) error {
+		out = append(out, d)
+		return nil
 	})
 	return out
-}
-
-// forEach runs fn(0..n-1) on a bounded worker pool (Config.Parallelism,
-// default GOMAXPROCS). Work items must be independent; fn is responsible
-// for writing results into per-index slots so output order is preserved.
-// With one worker the loop runs serially on the calling goroutine, which
-// keeps the serial path trivially deterministic for the race tests.
-func (p *Pipeline) forEach(n int, fn func(i int)) {
-	p.forEachCtx(context.Background(), n, fn)
-}
-
-// forEachCtx is forEach under a context: once ctx is cancelled no further
-// items are dispatched (items already running finish). The caller checks
-// ctx.Err() afterwards to distinguish a complete pass from an abandoned
-// one.
-func (p *Pipeline) forEachCtx(ctx context.Context, n int, fn func(i int)) {
-	workers := p.cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
-
-// failureBudget resolves the configured error budget: the maximum
-// tolerated quarantined fraction.
-func (p *Pipeline) failureBudget() float64 {
-	switch {
-	case p.cfg.MaxFailureRatio < 0:
-		return 0
-	case p.cfg.MaxFailureRatio == 0:
-		return 0.5
-	default:
-		return p.cfg.MaxFailureRatio
-	}
-}
-
-// openFailureSink assembles the build's failure collector, attaching the
-// persistent quarantine store when Config.QuarantineDir is set.
-func (p *Pipeline) openFailureSink() (*failureSink, error) {
-	sink := &failureSink{}
-	if p.cfg.QuarantineDir != "" {
-		store, err := OpenQuarantineStore(p.cfg.QuarantineDir)
-		if err != nil {
-			return nil, err
-		}
-		sink.store = store
-	}
-	return sink, nil
 }
 
 // convertGuarded converts one source inside the per-document fault
@@ -460,21 +390,14 @@ func (r *Repository) TotalMapCost() int {
 
 // ExtractPaths returns the document's label-path representation, extracting
 // it (timed under obs.StageExtract) on first use and caching it on the
-// document. Repeated mine calls — and the batch and streaming build paths —
-// therefore share one extraction pass per document.
+// document. Repeated mine calls — and every build — therefore share one
+// extraction pass per document.
 func (p *Pipeline) ExtractPaths(d *Document) *schema.DocPaths {
 	if d.Paths == nil {
 		d.Paths = schema.ExtractTraced(d.XML, p.tr)
 	}
 	return d.Paths
 }
-
-// mineShards is the shard count the batch build's parallel path mining
-// folds with. It is a fixed constant — not GOMAXPROCS — because the miner
-// records it as the obs counter "mine.shards", and golden metrics must not
-// depend on the machine running the build. Stride-sharded folding over
-// mergeable accumulators is cheap even when shards outnumber cores.
-const mineShards = 8
 
 // miner assembles the configured frequent-path miner.
 func (p *Pipeline) miner() *schema.Miner {
@@ -496,28 +419,25 @@ func (p *Pipeline) unify(s *schema.Schema) *schema.Schema {
 }
 
 // MineStats mines accumulated corpus statistics into the majority schema,
-// applying the configured unification step — the mining entry point for
-// pre-folded summaries (BuildStream's merged shards, checkpoint resume, and
-// the watch loop's persistent delta accumulator). Folding every document
-// into one accumulator in corpus-index order and mining it here is exactly
+// applying the configured unification step — the mining entry point of
+// every build (the merged shard accumulators) and of the watch loop's
+// persistent delta accumulator. Folding every document into one
+// accumulator in corpus-index order and mining it here is exactly
 // DiscoverSchema over the same documents.
 func (p *Pipeline) MineStats(acc *schema.Accumulator) *schema.Schema {
 	return p.unify(p.miner().DiscoverStats(acc))
 }
 
-// DiscoverSchema mines the majority schema over converted documents. Path
-// extraction is timed under obs.StageExtract (once per document, cached on
-// the Document); the statistics fold runs sharded in parallel
-// (mineShards-way, obs.StageMineFold) and mining under obs.StageMine —
-// byte-identical to the serial fold because accumulator merging is exact.
+// DiscoverSchema mines the majority schema over converted documents: their
+// label paths (extracted once per document and cached, timed under
+// obs.StageExtract) fold into one accumulator in slice order, which
+// MineStats mines.
 func (p *Pipeline) DiscoverSchema(docs []*Document) *schema.Schema {
-	paths := make([]*schema.DocPaths, len(docs))
+	acc := schema.NewAccumulator(0)
 	for i, d := range docs {
-		paths[i] = p.ExtractPaths(d)
+		acc.Add(i, p.ExtractPaths(d))
 	}
-	m := p.miner()
-	m.Shards = mineShards
-	return p.unify(m.Discover(paths))
+	return p.MineStats(acc)
 }
 
 // DeriveDTD turns a schema into a DTD with the configured options, timed
@@ -551,10 +471,11 @@ func (p *Pipeline) Build(sources []Source) (*Repository, error) {
 // source, discover the majority schema over the surviving documents,
 // derive the DTD, and map every survivor to conform.
 //
-// Conversion and DTD-guided mapping both run on a bounded worker pool
-// (Config.Parallelism); each document's mapping is independent, and
-// results stay aligned with Docs regardless of worker interleaving, so
-// parallel and serial builds produce identical repositories.
+// Conversion and DTD-guided mapping both run on the ordered pool with
+// Config.Parallelism workers: the build is one in-memory shard of the
+// engine (see engine.go), and results keep input order regardless of
+// worker interleaving, so parallel and serial builds produce identical
+// repositories.
 //
 // Each per-document unit of work runs inside a fault boundary: a panic,
 // per-document deadline overrun (Limits.DocTimeout), or injected error
@@ -565,123 +486,17 @@ func (p *Pipeline) Build(sources []Source) (*Repository, error) {
 // (Config.MaxFailureRatio); on a budget failure the partial Repository is
 // returned alongside the error for inspection.
 func (p *Pipeline) BuildContext(ctx context.Context, sources []Source) (*Repository, error) {
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("core: empty corpus")
-	}
-	sink, err := p.openFailureSink()
-	if err != nil {
-		return nil, err
-	}
-
-	// Convert every source inside the fault boundary, then compact away
-	// the quarantined slots while preserving input order.
-	docs := make([]*Document, len(sources))
-	p.forEachCtx(ctx, len(sources), func(i int) {
-		d, degraded, failed := p.convertGuarded(sources[i].Name, sources[i].HTML)
-		if failed != nil {
-			sink.quarantine(*failed, sources[i].HTML)
-			return
-		}
-		if degraded != nil {
-			sink.degrade(*degraded)
-		}
-		docs[i] = d
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: build cancelled: %w", err)
-	}
-	survivors := docs[:0]
-	for _, d := range docs {
-		if d != nil {
-			survivors = append(survivors, d)
-		}
-	}
-	repo := &Repository{Docs: survivors, TotalInput: len(sources)}
-	repo.Quarantined = sink.snapshotQuarantined()
-	if err := p.checkBudget(repo, sink); err != nil {
-		return repo, err
-	}
-	if len(repo.Docs) == 0 {
-		repo.Degraded = sink.snapshotDegraded()
-		return repo, fmt.Errorf("core: all %d documents quarantined", len(sources))
-	}
-
-	repo.Schema = p.DiscoverSchema(repo.Docs)
-	repo.DTD = p.DeriveDTD(repo.Schema)
-
-	if err := p.mapPhase(ctx, repo, sink); err != nil {
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		return repo, err
-	}
-	return repo, nil
-}
-
-// mapPhase maps every document in repo.Docs to repo.DTD inside the
-// per-document fault boundary and finalizes the repository: Docs, Conformed,
-// and MapStats are compacted in lockstep when a map-stage failure
-// quarantines a document, the failure-sink snapshots and error budget are
-// applied, and the output-bytes counter and stage timings are recorded. It
-// is the shared tail of BuildContext and BuildFromStats. A cancellation
-// error is detectable via ctx.Err(); any other error leaves the partial
-// repository populated for inspection.
-func (p *Pipeline) mapPhase(ctx context.Context, repo *Repository, sink *failureSink) error {
-	conformed := make([]*dom.Node, len(repo.Docs))
-	stats := make([]mapping.EditStats, len(repo.Docs))
-	dropped := make([]bool, len(repo.Docs))
-	p.forEachCtx(ctx, len(repo.Docs), func(i int) {
-		out, st, degraded, failed := p.conformGuarded(repo.Docs[i], repo.DTD)
-		if failed != nil {
-			sink.quarantine(*failed, "")
-			dropped[i] = true
-			return
-		}
-		if degraded != nil {
-			sink.degrade(*degraded)
-		}
-		conformed[i], stats[i] = out, st
-	})
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: build cancelled: %w", err)
-	}
-	kept := 0
-	for i := range repo.Docs {
-		if dropped[i] {
-			continue
-		}
-		repo.Docs[kept] = repo.Docs[i]
-		conformed[kept] = conformed[i]
-		stats[kept] = stats[i]
-		kept++
-	}
-	repo.Docs = repo.Docs[:kept]
-	repo.Conformed = conformed[:kept]
-	repo.MapStats = stats[:kept]
-	repo.Quarantined = sink.snapshotQuarantined()
-	repo.Degraded = sink.snapshotDegraded()
-	if err := p.checkBudget(repo, sink); err != nil {
-		return err
-	}
-
-	if p.tr.Enabled() {
-		// Output volume of the conformed repository; measured only when a
-		// collector is attached, so the no-op path never marshals.
-		var out int64
-		for _, c := range repo.Conformed {
-			out += int64(len(xmlout.Marshal(c)))
-		}
-		p.tr.Add(obs.CtrBytesOut, out)
-	}
-	repo.Stages = obs.StagesOf(p.tr)
-	return nil
+	return p.run(ctx, p.memBuild(&shard{next: rangeFeed(0, 0, len(sources), func(i int) (Source, error) {
+		return sources[i], nil
+	})}))
 }
 
 // BuildFromStats runs the discover → derive → map tail of the pipeline over
 // already-converted documents whose extraction statistics are pre-folded in
 // acc: the schema is mined from the accumulator (MineStats), the DTD derived
 // from it, and every document mapped to conform under the same fault
-// boundary and error budget as BuildContext.
+// boundary and error budget as BuildContext. The build is one shard seeded
+// with docs and acc, so it has no convert phase.
 //
 // This is the incremental-rebuild engine of the watch loop
 // (internal/watch): after a recrawl cycle retires changed documents'
@@ -691,41 +506,12 @@ func (p *Pipeline) mapPhase(ctx context.Context, repo *Repository, sink *failure
 // incrementally maintained accumulator is byte-identical to a cold
 // BuildContext over the same final corpus state.
 //
-// The docs slice is not retained; quarantine compaction operates on a copy.
+// The docs slice is only read; acc is mined, not modified.
 func (p *Pipeline) BuildFromStats(ctx context.Context, docs []*Document, acc *schema.Accumulator) (*Repository, error) {
-	if len(docs) == 0 {
-		return nil, fmt.Errorf("core: empty corpus")
-	}
 	if acc.Docs() != len(docs) {
 		return nil, fmt.Errorf("core: accumulator folds %d documents, corpus has %d", acc.Docs(), len(docs))
 	}
-	sink, err := p.openFailureSink()
-	if err != nil {
-		return nil, err
-	}
-	repo := &Repository{Docs: append([]*Document(nil), docs...), TotalInput: len(docs)}
-	repo.Schema = p.MineStats(acc)
-	repo.DTD = p.DeriveDTD(repo.Schema)
-	if err := p.mapPhase(ctx, repo, sink); err != nil {
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		return repo, err
-	}
-	return repo, nil
-}
-
-// checkBudget enforces the error budget and surfaces a quarantine-store
-// write failure (the failure path must itself not fail silently).
-func (p *Pipeline) checkBudget(repo *Repository, sink *failureSink) error {
-	if err := sink.err(); err != nil {
-		return err
-	}
-	if budget := p.failureBudget(); repo.FailureRatio() > budget {
-		return fmt.Errorf("core: %d of %d documents quarantined (ratio %.2f exceeds budget %.2f)",
-			len(repo.Quarantined), repo.TotalInput, repo.FailureRatio(), budget)
-	}
-	return nil
+	return p.run(ctx, p.memBuild(&shard{docs: docs, acc: acc, st: shardState{Done: len(docs), Stored: len(docs)}}))
 }
 
 // Source is one named HTML input.

@@ -3,33 +3,34 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 
 	"webrev/internal/dom"
 	"webrev/internal/mapping"
 	"webrev/internal/obs"
-	"webrev/internal/schema"
-	"webrev/internal/xmlout"
 )
 
 // StreamSink receives each document of a streaming build as its DTD-guided
-// mapping finishes. Documents arrive in input order (an in-order emitter
-// runs ahead of the mapping workers, so delivery starts as soon as the
-// first document's mapping is done, not after all of them). A non-nil error
+// mapping finishes. Documents arrive in input order (the ordered pool
+// commits each mapping as soon as every earlier one is done, so delivery
+// starts with the first document, not after all of them). A non-nil error
 // stops further deliveries and is returned by BuildStreamTo; mapping of the
-// remaining documents still completes.
+// remaining documents still completes. Once the build's context is
+// cancelled, no further documents are delivered.
 type StreamSink func(doc *Document, conformed *dom.Node, stats mapping.EditStats) error
 
 // BuildStream runs the complete pipeline over a channel of sources: the
-// streaming counterpart of Build. Documents are converted and their schema
-// statistics folded into per-worker mergeable accumulators as they arrive
-// (see schema.Accumulator), so schema discovery overlaps document
-// production — a crawl (AcquireStream), a generator, or any other producer
-// — instead of waiting behind it. Once the input channel closes, the shard
-// statistics merge (obs.StageMerge), the majority schema is mined and the
-// DTD derived exactly as in Build, and every document is mapped to conform.
+// streaming counterpart of Build. Documents are converted, their label
+// paths extracted, and their schema statistics folded into the
+// accumulator as they arrive (see schema.Accumulator), so schema discovery
+// overlaps document production — a crawl (AcquireStream), a generator, or
+// any other producer — instead of waiting behind it. Once the input
+// channel closes, the statistics merge (obs.StageMerge), the majority
+// schema is mined and the DTD derived exactly as in Build, and every
+// document is mapped to conform. The build is one shard of the engine
+// (see engine.go) fed from the channel.
 //
 // Memory stays bounded while the input is open: at most Config.MaxInFlight
 // documents are held between acceptance and statistics fold, and a
@@ -40,23 +41,23 @@ type StreamSink func(doc *Document, conformed *dom.Node, stats mapping.EditStats
 // obs.GaugeStreamInFlightPeak gauge.
 //
 // Given the same sources in the same order, BuildStream's repository is
-// byte-identical to Build's: per-document work is deterministic and the
-// accumulator merge is exactly order-independent.
+// byte-identical to Build's.
 //
 // Per-document work runs inside the same fault boundary as BuildContext:
 // a panic, per-document deadline overrun, or injected error quarantines
 // the document (recorded on Repository.Quarantined) instead of aborting
 // the stream, subject to the Config.MaxFailureRatio error budget.
 //
-// With Config.CheckpointDir set the build is crash-resumable: the worker
-// accumulators, converted documents, and quarantine log snapshot to the
-// directory every Config.CheckpointEvery folds, and a later BuildStream
-// over the same source stream skips the already-processed prefix and
-// produces output byte-identical to an uninterrupted run.
+// With Config.CheckpointDir set the build is crash-resumable: the
+// directory holds the shard checkpoint — state.json plus the conv/ segment
+// of converted documents — written every Config.CheckpointEvery documents,
+// and a later BuildStream over the same source stream skips the
+// already-processed prefix and produces output byte-identical to an
+// uninterrupted run. A completed build removes the checkpoint.
 //
 // On context cancellation the build abandons its result and returns the
-// context error after its workers drain (writing a final checkpoint
-// snapshot first, when checkpointing is on).
+// context error after the documents it accepted are folded (writing a
+// final checkpoint first, when checkpointing is on).
 func (p *Pipeline) BuildStream(ctx context.Context, in <-chan Source) (*Repository, error) {
 	return p.BuildStreamTo(ctx, in, nil)
 }
@@ -65,325 +66,76 @@ func (p *Pipeline) BuildStream(ctx context.Context, in <-chan Source) (*Reposito
 // document as its mapping finishes; see StreamSink. A nil sink is allowed.
 // Quarantined documents are never delivered to the sink.
 func (p *Pipeline) BuildStreamTo(ctx context.Context, in <-chan Source, sink StreamSink) (*Repository, error) {
-	workers := p.cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	workers := p.workers()
+	limit := p.cfg.MaxInFlight
+	if limit <= 0 {
+		limit = 4 * workers
 	}
-	capDocs := p.cfg.MaxInFlight
-	if capDocs <= 0 {
-		capDocs = 4 * workers
-	}
-	if workers > capDocs {
-		// The cap is a hard memory bound: never run more workers than
-		// documents allowed in flight.
-		workers = capDocs
-	}
+	// The cap is a hard memory bound: never run more workers than
+	// documents allowed in flight.
+	workers = min(workers, limit)
 
-	fsink, err := p.openFailureSink()
-	if err != nil {
-		return nil, err
-	}
-	var (
-		ckpt   *checkpointer
-		resume *resumeState
-	)
-	if p.cfg.CheckpointDir != "" {
-		if resume, err = loadCheckpoint(p.cfg.CheckpointDir); err != nil {
-			return nil, err
+	// The channel adapter owns the in-flight gauges: a document is in
+	// flight from its receipt until its fold commits.
+	var inFlight, peak atomic.Int64
+	gauge := func(delta int64) {
+		cur := inFlight.Add(delta)
+		for old := peak.Load(); cur > old && !peak.CompareAndSwap(old, cur); old = peak.Load() {
 		}
-		if ckpt, err = newCheckpointer(p.cfg.CheckpointDir, p.cfg.CheckpointEvery, workers, p.tr); err != nil {
-			return nil, err
-		}
-		if resume != nil {
-			// Seed the new run with the snapshot so the next snapshot (and
-			// a second resume) still covers the restored prefix, and carry
-			// the restored quarantine log into this run's report.
-			if err := ckpt.seed(resume); err != nil {
-				return nil, err
-			}
-			recs := make([]FailureRecord, 0, len(resume.quar))
-			for _, rec := range resume.quar {
-				recs = append(recs, rec)
-			}
-			fsink.restoreQuarantined(recs)
+		if p.tr.Enabled() {
+			p.tr.Set(obs.GaugeStreamInFlight, cur)
 		}
 	}
-
-	var (
-		mu       sync.Mutex
-		docs     []*Document
-		inFlight int64
-		peak     int64
-	)
-	placeDoc := func(idx int, d *Document) {
-		mu.Lock()
-		for len(docs) <= idx {
-			docs = append(docs, nil)
-		}
-		docs[idx] = d
-		mu.Unlock()
-	}
-	shards := make([]*schema.Accumulator, workers)
-	for w := range shards {
-		shards[w] = schema.NewAccumulator(0)
-	}
-	// jobs is buffered to the cap so a burst of arrivals (a crawler
-	// finishing a fetch window) is accepted immediately and converted
-	// during the producer's next idle period; the semaphore, not this
-	// buffer, is what bounds held documents.
-	jobs := make(chan streamJob, capDocs)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, capDocs)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for j := range jobs {
-				d, degraded, failed := p.convertGuarded(j.src.Name, j.src.HTML)
-				if failed != nil {
-					fsink.quarantine(*failed, j.src.HTML)
-					if ckpt != nil {
-						ckpt.quarantine(j.idx, *failed)
-					}
-				} else {
-					if degraded != nil {
-						fsink.degrade(*degraded)
-					}
-					j.src.HTML = "" // conversion done; drop the raw source
-					paths := p.ExtractPaths(d)
-					if ckpt != nil {
-						ckpt.fold(w, j.idx, d, paths)
-					} else {
-						shards[w].Add(j.idx, paths)
-					}
-					placeDoc(j.idx, d)
-				}
-				cur := atomic.AddInt64(&inFlight, -1)
-				if p.tr.Enabled() {
-					p.tr.Set(obs.GaugeStreamInFlight, cur)
-				}
-				<-sem
-				// Yield between documents. A buffered jobs queue means a
-				// worker draining a burst never blocks, and on few-core
-				// machines an unbroken conversion slice starves the
-				// producer — a crawler gets its next fetch round dispatched
-				// late, delaying the very idle time this worker should be
-				// filling. The explicit yield keeps producer dispatch
-				// latency bounded by one document, not one burst.
-				runtime.Gosched()
-			}
-		}(w)
-	}
-
-	// Feed: reserve an in-flight slot before accepting a document, so at
-	// most capDocs documents are ever held between acceptance and fold.
-	// On resume, documents whose stream index the checkpoint already
-	// covers (folded or quarantined) are skipped instead of dispatched.
-	n := 0
-	restored := 0
-	var feedErr error
-feed:
-	for {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			feedErr = ctx.Err()
-			break feed
-		}
-		select {
-		case <-ctx.Done():
-			<-sem
-			feedErr = ctx.Err()
-			break feed
-		case src, ok := <-in:
-			if !ok {
-				<-sem
-				break feed
-			}
-			if resume != nil {
-				if d := resume.docs[n]; d != nil {
-					placeDoc(n, d)
-					restored++
-					n++
-					<-sem
-					continue
-				}
-				if _, quarantined := resume.quar[n]; quarantined {
-					n++
-					<-sem
-					continue
-				}
-			}
-			cur := atomic.AddInt64(&inFlight, 1)
+	received := 0
+	s := &shard{end: -1, dir: p.cfg.CheckpointDir, after: func() { gauge(-1) },
+		next: func(ctx context.Context, i int) (Source, bool, error) {
 			for {
-				old := atomic.LoadInt64(&peak)
-				if cur <= old || atomic.CompareAndSwapInt64(&peak, old, cur) {
-					break
+				select {
+				case <-ctx.Done():
+					return Source{}, false, nil
+				case src, ok := <-in:
+					if !ok {
+						return src, false, nil
+					}
+					if received++; received <= i {
+						continue // restored from the checkpoint
+					}
+					gauge(1)
+					return src, true, nil
 				}
 			}
-			if p.tr.Enabled() {
-				p.tr.Set(obs.GaugeStreamInFlight, cur)
+		}}
+	b := &build{shards: []*shard{s}, workers: workers, limit: limit, every: p.cfg.CheckpointEvery}
+	var sinkErr error
+	if sink != nil {
+		b.emit = func(d *Document, conformed *dom.Node, st mapping.EditStats) {
+			if sinkErr == nil && ctx.Err() == nil {
+				sinkErr = sink(d, conformed, st)
 			}
-			jobs <- streamJob{idx: n, src: src}
-			n++
 		}
 	}
-	close(jobs)
-	wg.Wait()
-
-	if ckpt != nil {
-		// Final snapshot: everything accepted before a cancellation (or
-		// the stream's end) is folded by now, so the snapshot covers the
-		// complete prefix and a resumed build restarts exactly after it.
-		ckpt.snapshot()
-	}
+	repo, err := p.run(ctx, b)
 	if p.tr.Enabled() {
 		p.tr.Set(obs.GaugeStreamInFlight, 0)
-		p.tr.Set(obs.GaugeStreamInFlightPeak, atomic.LoadInt64(&peak))
+		p.tr.Set(obs.GaugeStreamInFlightPeak, peak.Load())
 		p.tr.Set(obs.GaugeStreamShards, int64(workers))
-		if restored > 0 {
-			p.tr.Add(obs.CtrDocsRestored, int64(restored))
-		}
 	}
-	if feedErr != nil {
-		return nil, feedErr
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty corpus")
-	}
-
-	repo := &Repository{TotalInput: n}
-	repo.Quarantined = fsink.snapshotQuarantined()
-	if err := p.checkBudget(repo, fsink); err != nil {
-		repo.Degraded = fsink.snapshotDegraded()
+	switch {
+	case ctx.Err() != nil:
+		return nil, ctx.Err()
+	case err != nil:
 		return repo, err
-	}
-	if ckpt != nil {
-		if err := ckpt.firstErr(); err != nil {
-			return repo, err
-		}
-	}
-
-	// Compact away quarantined slots, preserving stream order.
-	for _, d := range docs {
-		if d != nil {
-			repo.Docs = append(repo.Docs, d)
-		}
-	}
-	if len(repo.Docs) == 0 {
-		repo.Degraded = fsink.snapshotDegraded()
-		return repo, fmt.Errorf("core: all %d documents quarantined", n)
-	}
-
-	// All statistics are in; combine the shards and mine once. With
-	// checkpointing on, the checkpointer owns the shards (including any
-	// restored snapshot state merged into shard 0).
-	allShards := shards
-	if ckpt != nil {
-		allShards = ckpt.shards
-	}
-	sp := p.tr.StartSpan(obs.StageMerge)
-	merged := allShards[0]
-	for _, s := range allShards[1:] {
-		if err := merged.Merge(s); err != nil {
-			sp.End()
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-	sp.End()
-	repo.Schema = p.MineStats(merged)
-	repo.DTD = p.DeriveDTD(repo.Schema)
-
-	// Map every survivor inside the fault boundary; a map-stage failure
-	// quarantines the document and it is compacted out afterwards.
-	ns := len(repo.Docs)
-	conformed := make([]*dom.Node, ns)
-	stats := make([]mapping.EditStats, ns)
-	dropped := make([]bool, ns)
-	mapDoc := func(i int) {
-		out, st, degraded, failed := p.conformGuarded(repo.Docs[i], repo.DTD)
-		if failed != nil {
-			fsink.quarantine(*failed, "")
-			dropped[i] = true
-			return
-		}
-		if degraded != nil {
-			fsink.degrade(*degraded)
-		}
-		conformed[i], stats[i] = out, st
-	}
-	var sinkErr error
-	if sink == nil {
-		p.forEach(ns, mapDoc)
-	} else {
-		// Stream conformance out: an in-order emitter delivers document i
-		// the moment documents 0..i have all finished mapping, while later
-		// documents are still being mapped. Quarantined documents are
-		// skipped, never delivered.
-		done := make(chan int, ns)
-		go func() {
-			p.forEach(ns, func(i int) {
-				mapDoc(i)
-				done <- i
-			})
-			close(done)
-		}()
-		ready := make([]bool, ns)
-		emitted := 0
-		for i := range done {
-			ready[i] = true
-			for emitted < ns && ready[emitted] {
-				if sinkErr == nil && !dropped[emitted] {
-					sinkErr = sink(repo.Docs[emitted], conformed[emitted], stats[emitted])
-				}
-				emitted++
-			}
-		}
-	}
-	kept := 0
-	for i := 0; i < ns; i++ {
-		if dropped[i] {
-			continue
-		}
-		repo.Docs[kept] = repo.Docs[i]
-		conformed[kept] = conformed[i]
-		stats[kept] = stats[i]
-		kept++
-	}
-	repo.Docs = repo.Docs[:kept]
-	repo.Conformed = conformed[:kept]
-	repo.MapStats = stats[:kept]
-	repo.Quarantined = fsink.snapshotQuarantined()
-	repo.Degraded = fsink.snapshotDegraded()
-	if err := p.checkBudget(repo, fsink); err != nil {
-		return repo, err
-	}
-
-	if p.tr.Enabled() {
-		var out int64
-		for _, c := range repo.Conformed {
-			out += int64(len(xmlout.Marshal(c)))
-		}
-		p.tr.Add(obs.CtrBytesOut, out)
-	}
-	repo.Stages = obs.StagesOf(p.tr)
-	if sinkErr != nil {
+	case sinkErr != nil:
 		return repo, fmt.Errorf("core: stream sink: %w", sinkErr)
 	}
-	if ckpt != nil {
+	if s.dir != "" {
 		// The build completed; clear the checkpoint so a later run over
 		// the same directory starts fresh instead of resuming into an
 		// already-finished state.
-		ckpt.clear()
+		os.Remove(filepath.Join(s.dir, shardStateFile))
+		os.RemoveAll(filepath.Join(s.dir, "conv"))
 	}
 	return repo, nil
-}
-
-// streamJob carries one accepted source and its corpus index to a
-// conversion worker.
-type streamJob struct {
-	idx int
-	src Source
 }
 
 // SourceChan adapts a slice of sources into the channel BuildStream

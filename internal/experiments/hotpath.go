@@ -47,8 +47,9 @@ type HotPathResult struct {
 	Points []HotPathPoint
 }
 
-// hotPathShards matches the batch build's fixed fold width (see
-// core.mineShards) so E12 measures the configuration the pipeline ships.
+// hotPathShards is the fold width of the parallel miner E12 measures
+// against the serial fold (schema.Miner.Shards). It is fixed, not
+// GOMAXPROCS, so the sweep's rows do not depend on the machine.
 const hotPathShards = 8
 
 // RunHotPath measures the round-2 hot-path optimizations over growing

@@ -49,7 +49,7 @@ type StreamComparisonResult struct {
 	Identical bool
 	// PeakInFlight and Shards are the streaming build's bounded-memory
 	// gauges: the high-water mark of in-flight documents and the number of
-	// per-worker statistic shards merged.
+	// convert workers (obs.GaugeStreamShards).
 	PeakInFlight int64
 	Shards       int64
 	// Snapshot is the streaming run's full stage profile plus the e9.*
@@ -192,7 +192,7 @@ func (r StreamComparisonResult) Report() string {
 	fmt.Fprintf(&b, "  batch:  crawl %v + build %v = %v\n",
 		r.BatchCrawl.Round(time.Millisecond), r.BatchBuild.Round(time.Millisecond),
 		r.BatchTotal.Round(time.Millisecond))
-	fmt.Fprintf(&b, "  stream: %v overlapped (peak in-flight %d, %d statistic shards)\n",
+	fmt.Fprintf(&b, "  stream: %v overlapped (peak in-flight %d, %d convert workers)\n",
 		r.StreamTotal.Round(time.Millisecond), r.PeakInFlight, r.Shards)
 	if r.StreamTotal > 0 {
 		fmt.Fprintf(&b, "  speedup %.2fx; outputs identical: %v\n",

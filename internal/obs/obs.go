@@ -60,12 +60,15 @@ const (
 	// StageMineFold times the parallel per-shard accumulator fold that
 	// precedes frequent-path discovery when the miner runs sharded.
 	StageMineFold = "schema.mine.fold"
-	StageDerive   = "dtd.derive"   // schema → DTD
-	StageMap      = "map.conform"  // DTD-guided document mapping, per document
-	StageCrawl    = "crawl"        // acquisition crawl (bridged from crawler.Report)
-	StageMerge    = "schema.merge" // merging per-shard schema accumulators (streaming build)
-	// StageCheckpoint times each snapshot of the streaming build's
-	// accumulator state to the checkpoint directory.
+	StageDerive   = "dtd.derive"  // schema → DTD
+	StageMap      = "map.conform" // DTD-guided document mapping, per document
+	StageCrawl    = "crawl"       // acquisition crawl (bridged from crawler.Report)
+	// StageMerge times merging the shard accumulators of a build into the
+	// one summary the miner mines; every build records it exactly once.
+	StageMerge = "schema.merge"
+	// StageCheckpoint times each checkpoint a build shard writes to its
+	// directory (a streaming build's CheckpointDir, a sharded build's
+	// shard-NNN).
 	StageCheckpoint = "checkpoint.write"
 	// StageServe times one served repository request in webrevd (all
 	// endpoints; the serve counters below split the traffic).
@@ -84,9 +87,6 @@ const (
 	// StageShardMap times one shard worker's whole DTD-guided mapping pass
 	// over its converted segment in a sharded build.
 	StageShardMap = "shard.map"
-	// StageShardMerge times folding the per-shard conformed segments into
-	// the final content-addressed store of a sharded build.
-	StageShardMerge = "shard.merge"
 )
 
 // ShardStage returns the per-shard stage name under which one shard
@@ -121,8 +121,8 @@ const (
 	CtrMineShards      = "mine.shards"         // accumulator shards folded by the parallel miner
 	CtrDocsQuarantined = "docs.quarantined"    // documents dropped by per-document fault isolation
 	CtrDocsDegraded    = "docs.degraded"       // documents kept but truncated or identity-mapped by limits
-	CtrDocsRestored    = "docs.restored"       // documents restored from a streaming-build checkpoint
-	CtrCheckpoints     = "checkpoint.writes"   // checkpoint snapshots written by the streaming build
+	CtrDocsRestored    = "docs.restored"       // documents restored from a build checkpoint (streaming or sharded)
+	CtrCheckpoints     = "checkpoint.writes"   // checkpoints written by build shards (streaming or sharded)
 	CtrCrawlFetched    = "crawl.fetched"
 	CtrCrawlFailed     = "crawl.failed"
 	CtrCrawlRetried    = "crawl.retried"
@@ -193,8 +193,9 @@ const (
 	// GaugeStreamInFlight over a whole streaming build; the bounded-memory
 	// guarantee is peak <= cap.
 	GaugeStreamInFlightPeak = "stream.inflight.peak"
-	// GaugeStreamShards is the number of per-worker schema accumulators the
-	// streaming build merged.
+	// GaugeStreamShards is the number of convert workers of a streaming or
+	// sharded build: the streaming build's ordered-pool workers, or the
+	// sharded build's shards (one worker each).
 	GaugeStreamShards = "stream.shards"
 	// GaugeServeInFlight is the number of requests currently admitted and
 	// executing in the serving layer.

@@ -47,8 +47,8 @@ type Miner struct {
 	Tracer obs.Tracer
 	// Shards > 1 makes Discover fold the corpus in parallel: each of
 	// Shards workers folds a stride of the document slice into its own
-	// Accumulator (the per-worker shard pattern of core.BuildStream), the
-	// shards merge in shard order, and the merged summary is mined. Merge
+	// Accumulator, the shards merge in shard order, and the merged summary
+	// is mined. Merge
 	// is exactly commutative and associative, so the result is
 	// byte-identical to the serial fold — pinned by the parallel-miner
 	// equivalence tests. Zero or one keeps the serial fold.

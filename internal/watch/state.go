@@ -9,13 +9,14 @@ import (
 
 	"webrev/internal/core"
 	"webrev/internal/crawler"
+	"webrev/internal/repository"
 	"webrev/internal/schema"
 	"webrev/internal/xmlout"
 )
 
-// The watch state directory is version 2 of the checkpoint manifest layout
-// the streaming build introduced (internal/core's checkpoint store,
-// version 1). The directory shape is unchanged — a state.json manifest plus
+// The watch state directory is version 2 of the streaming build's original
+// checkpoint manifest layout (version 1, which builds no longer write; see
+// below). The directory shape is unchanged — a state.json manifest plus
 // one doc-%08d.xml file per live converted document, manifest written
 // atomically (tmp + rename), doc files not listed in the manifest ignored —
 // and version 2 extends the manifest with the continuous-operation state:
@@ -23,10 +24,15 @@ import (
 // cycle ordinal, and the previous cycle's derivation (supports, DTD text,
 // per-site conformance) that the next drift report diffs against.
 //
-// A version-1 manifest (a streaming-build checkpoint) still loads: its
-// documents are restored and their statistics re-extracted into a fresh
-// delta accumulator, and the crawl state starts empty, so the first cycle
-// refetches everything and classifies by content hash. The full format
+// Two version-1 layouts migrate. The original streaming-build manifest
+// lists its documents' doc files. A build's shard checkpoint — what an
+// interrupted BuildStream with a CheckpointDir leaves behind — has no
+// document list: it carries the accumulator under "acc", and its documents
+// are the first "stored" entries of the conv/ disk segment beside it.
+// Either way the documents are restored, their statistics re-extracted
+// into a fresh delta accumulator, and the crawl state starts empty, so the
+// first cycle refetches everything and classifies by content hash; the
+// first save writes every migrated document's doc file. The full format
 // contract, including the version bump policy, is documented in DESIGN.md
 // ("Versioned persistent formats").
 
@@ -64,8 +70,13 @@ type stateManifest struct {
 	NextIdx int `json:"next_idx,omitempty"`
 	// Crawl holds the per-URL revalidation records.
 	Crawl *crawler.CrawlState `json:"crawl,omitempty"`
-	// Acc is the delta accumulator's JSON encoding (version 2).
+	// Acc is the delta accumulator's JSON encoding (version 2), or, in a
+	// version-1 shard checkpoint, the build accumulator (discarded on
+	// migration).
 	Acc json.RawMessage `json:"acc,omitempty"`
+	// Stored is a version-1 shard checkpoint's document count: its
+	// documents are the first Stored entries of the conv/ segment.
+	Stored int `json:"stored,omitempty"`
 	// Shards holds per-worker accumulator encodings (version 1 only; they
 	// are not delta-capable and are discarded on migration).
 	Shards []json.RawMessage `json:"shards,omitempty"`
@@ -139,9 +150,9 @@ func (w *Watcher) save() error {
 
 // load restores the watcher from its state directory. A missing manifest is
 // a fresh start, not an error. Version 2 restores everything; version 1 (a
-// streaming-build checkpoint) migrates — documents restore from their XML,
-// statistics re-extract into a fresh delta accumulator, and the crawl state
-// starts empty.
+// streaming-build manifest or a build's shard checkpoint) migrates —
+// documents restore from their XML, statistics re-extract into a fresh
+// delta accumulator, and the crawl state starts empty.
 func (w *Watcher) load() error {
 	dir := w.opt.StateDir
 	data, err := os.ReadFile(filepath.Join(dir, stateFileName))
@@ -162,6 +173,12 @@ func (w *Watcher) load() error {
 	}
 
 	maxIdx := -1
+	if m.Version == 1 && len(m.Acc) > 0 {
+		if err := w.loadSegment(filepath.Join(dir, "conv"), m.Stored); err != nil {
+			return err
+		}
+		maxIdx = m.Stored - 1
+	}
 	for _, sd := range m.Docs {
 		xml, err := os.ReadFile(docFile(dir, sd.Idx))
 		if err != nil {
@@ -219,6 +236,34 @@ func (w *Watcher) load() error {
 	w.next = maxIdx + 1
 	for _, e := range w.docs {
 		w.acc.Add(e.idx, w.opt.Pipeline.ExtractPaths(e.doc))
+	}
+	return nil
+}
+
+// loadSegment restores the first n documents of the disk segment in dir —
+// a version-1 shard checkpoint's conv/ store — as live documents indexed by
+// segment position, marked dirty so the next save writes their doc files.
+func (w *Watcher) loadSegment(dir string, n int) error {
+	seg, err := repository.OpenDiskStore(dir, repository.DiskOptions{MaxResidentDocs: -1})
+	if err != nil {
+		return fmt.Errorf("watch: state segment: %w", err)
+	}
+	defer seg.Close()
+	if seg.Len() < n {
+		return fmt.Errorf("watch: state segment holds %d documents, checkpoint expects %d", seg.Len(), n)
+	}
+	for i := 0; i < n; i++ {
+		root, err := seg.Doc(i)
+		if err != nil {
+			return fmt.Errorf("watch: state segment doc %d: %w", i, err)
+		}
+		name := seg.Name(i)
+		if name == "" || w.docs[name] != nil {
+			return fmt.Errorf("watch: state segment doc %d: missing or duplicate name %q", i, name)
+		}
+		d := &core.Document{Source: name, XML: root}
+		w.docs[name] = &docEntry{idx: i, doc: d}
+		w.dirty[i] = d
 	}
 	return nil
 }

@@ -100,8 +100,8 @@ type Result struct {
 }
 
 // New returns a Watcher over opt, resuming from opt.StateDir when it holds
-// a previous life's state (either the watch format or a version-1 streaming
-// checkpoint, which migrates — see Load in state.go).
+// a previous life's state (either the watch format or a version-1 build
+// checkpoint, which migrates — see load in state.go).
 func New(opt Options) (*Watcher, error) {
 	if opt.Pipeline == nil || opt.Crawler == nil || opt.Seed == "" {
 		return nil, fmt.Errorf("watch: Pipeline, Crawler, and Seed are required")

@@ -148,8 +148,8 @@ func AcquireStream(ctx context.Context, c *Crawler, seed string) (src <-chan Sou
 func SourceChan(sources []Source) <-chan Source { return core.SourceChan(sources) }
 
 // Gauge names the streaming build records on its tracer: current and peak
-// in-flight documents, and the number of per-worker statistic shards
-// merged. The bounded-memory guarantee is peak <= Config.MaxInFlight.
+// in-flight documents, and the number of convert workers. The
+// bounded-memory guarantee is peak <= Config.MaxInFlight.
 const (
 	GaugeStreamInFlight     = obs.GaugeStreamInFlight
 	GaugeStreamInFlightPeak = obs.GaugeStreamInFlightPeak
