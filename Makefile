@@ -50,8 +50,10 @@ race:
 # accept arbitrary bytes without panicking; the tree-edit-distance memo and
 # the parallel path miner must additionally stay equivalent to their naive
 # and serial references on arbitrary inputs; fold/subtract interleavings
-# over the delta accumulator must exactly invert. Go allows one -fuzz
-# target per invocation, so each gets its own short run.
+# over the delta accumulator must exactly invert; opening a repository
+# directory from arbitrary index.log and segment.blob bytes must never
+# panic, and reading it must never write. Go allows one -fuzz target per
+# invocation, so each gets its own short run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHTMLParse -fuzztime $(FUZZTIME) ./internal/htmlparse/
 	$(GO) test -run '^$$' -fuzz FuzzTidy -fuzztime $(FUZZTIME) ./internal/tidy/
@@ -60,6 +62,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTreeDistance -fuzztime $(FUZZTIME) ./internal/mapping/
 	$(GO) test -run '^$$' -fuzz FuzzMinePaths -fuzztime $(FUZZTIME) ./internal/schema/
 	$(GO) test -run '^$$' -fuzz FuzzFoldSubtract -fuzztime $(FUZZTIME) ./internal/schema/
+	$(GO) test -run '^$$' -fuzz FuzzDiskStoreOpen -fuzztime $(FUZZTIME) ./internal/repository/
 
 # E1-E5 micro/macro benchmarks plus metrics snapshots of the full batch
 # pipeline (experiment E8 -> BENCH_pipeline.json) and the streaming
@@ -171,7 +174,11 @@ SCALE_DIR ?= .scale/work
 # runs (and the CI cache restores it keyed on the stamp inputs). The
 # -verify pass runs outside the RSS budget: it resumes the already-built
 # shards, then materializes the corpus for the in-memory reference build,
-# which legitimately uses more memory than the gated sharded path.
+# which legitimately uses more memory than the gated sharded path. Last,
+# `webrev query` must open the build's final repository directory and
+# find matches: every tool reads what the sharded build writes. The query
+# asks for `education`, which this corpus's DTD requires in every
+# document; its majority schema keeps no `institution` element.
 scale-smoke:
 	$(GO) build -o bin/webrev ./cmd/webrev
 	$(GO) build -o bin/rsscheck ./cmd/rsscheck
@@ -182,6 +189,8 @@ scale-smoke:
 		-corpus $(SCALE_CORPUS) -shards $(SCALE_SHARDS) -dir $(SCALE_DIR)
 	bin/webrev scale -corpus $(SCALE_CORPUS) -shards $(SCALE_SHARDS) \
 		-dir $(SCALE_DIR) -verify
+	bin/webrev query -repo $(SCALE_DIR)/final '//education' > $(SCALE_DIR)/query.out
+	tail -n 1 $(SCALE_DIR)/query.out | awk '{ print } $$1 == 0 { exit 1 }'
 
 # Sharded-build scaling snapshot: a smoke-scale synthetic sharded build's
 # wall/rss_kb/disk_bytes rows merged into BENCH_shard.json (the committed

@@ -320,7 +320,7 @@ func buildSharded(p *core.Pipeline, srcs []core.Source, shards int, dir string, 
 
 func cmdQuery(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	dir := fs.String("repo", "", "repository directory written by `webrev build -out`")
+	dir := fs.String("repo", "", "repository `DIR`, as build -out or watch -out writes it or a sharded build leaves it in -shard-dir WORK/final")
 	fs.Parse(args)
 	if *dir == "" || fs.NArg() != 1 {
 		return fmt.Errorf("usage: webrev query -repo DIR 'EXPR'")
@@ -459,9 +459,12 @@ func cmdQuarantine(args []string, w io.Writer) error {
 // and print (and optionally write) each cycle's drift report. With
 // -checkpoint the state survives restarts. The directory may also hold a
 // streaming build's checkpoint (`crawl -stream -checkpoint DIR`, i.e.
-// BuildStream with Config.CheckpointDir; `webrev build -out DIR` is not
-// one): its state.json and conv/ segment migrate into the watch format on
-// first load.
+// BuildStream with Config.CheckpointDir): its state.json and conv/ segment
+// migrate into the watch format on first load. A repository directory
+// (`webrev build -out DIR`) is not a checkpoint. -out publishes the
+// conformed repository in that format after every cycle, by renaming each
+// file into place, so `webrevd -follow DIR` can track it while it is
+// rewritten.
 func cmdWatch(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	seed := fs.String("seed", "", "seed URL every cycle starts from (required)")

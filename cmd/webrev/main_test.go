@@ -114,6 +114,32 @@ func TestCmdBuildAndQuery(t *testing.T) {
 	}
 }
 
+// TestCmdQueryOpensShardedBuild: `webrev query` reads the repository a
+// sharded build leaves in its shard directory's final/, and the copy
+// `-out` writes.
+func TestCmdQueryOpensShardedBuild(t *testing.T) {
+	dir := t.TempDir()
+	files := []string{
+		writeResume(t, dir, "a.html"),
+		writeResume(t, dir, "b.html"),
+		writeResume(t, dir, "c.html"),
+	}
+	work, repoDir := filepath.Join(dir, "work"), filepath.Join(dir, "repo")
+	var out strings.Builder
+	if err := cmdBuild(append([]string{"-shards", "2", "-shard-dir", work, "-out", repoDir}, files...), &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, repo := range []string{filepath.Join(work, "final"), repoDir} {
+		var qOut strings.Builder
+		if err := cmdQuery([]string{"-repo", repo, "//institution"}, &qOut); err != nil {
+			t.Fatalf("query -repo %s: %v", repo, err)
+		}
+		if !strings.Contains(qOut.String(), "matches in 3 documents") || !strings.Contains(qOut.String(), "<institution") {
+			t.Fatalf("query -repo %s output:\n%s", repo, qOut.String())
+		}
+	}
+}
+
 func TestCmdBuildMetricsSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	files := []string{

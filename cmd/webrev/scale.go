@@ -86,7 +86,7 @@ func cmdScale(args []string, w io.Writer) error {
 		total, *shards, len(res.Quarantined), len(res.Degraded))
 	fmt.Fprintf(w, "wall %.2fs, peak RSS %d KB, %d bytes on disk, DTD %d elements\n",
 		wall.Seconds(), rssKB, res.BytesOnDisk, res.DTD.Len())
-	fmt.Fprintf(w, "final repository: %s (open with repository.LoadDisk)\n", filepath.Join(*dir, "final"))
+	fmt.Fprintf(w, "final repository: %s (open with webrev query -repo or webrevd -repo)\n", filepath.Join(*dir, "final"))
 
 	if *benchOut != "" {
 		prefix := fmt.Sprintf("ShardBuild/docs=%d/shards=%d", total, *shards)

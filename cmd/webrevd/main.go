@@ -13,15 +13,19 @@
 // liveness; /readyz is readiness (503 until the first snapshot installs
 // and again while draining).
 //
-// Serve a checkpointed repository (written by `webrev build -out DIR`):
+// Serve a repository directory — a disk store plus schema.dtd, as
+// `webrev build -out DIR` writes it and as a sharded build leaves it in
+// `-shard-dir WORK`/final. The directory is read strictly (every document
+// checked against its SHA-256 and the DTD) into an in-memory snapshot:
 //
 //	webrevd -repo DIR [-addr :8077]
+//	webrevd -repo WORK/final
 //
 // Or build one in-process from the synthetic corpus:
 //
 //	webrevd -corpus 200 [-seed 1]
 //
-// Or follow a checkpoint directory that a continuous-operation watch loop
+// Or follow a repository directory that a continuous-operation watch loop
 // (`webrev watch -out DIR`) rewrites each cycle — webrevd polls it,
 // validates every candidate, swaps in good ones, and keeps serving the
 // last good generation (with backoff) across corrupt or mid-write states:
@@ -71,9 +75,9 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("webrevd", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", ":8077", "listen address")
-		repoDir    = fs.String("repo", "", "serve the repository checkpointed in this directory")
+		repoDir    = fs.String("repo", "", "serve the repository in `DIR`, as webrev build -out writes it or a sharded build leaves it in WORK/final")
 		corpusN    = fs.Int("corpus", 0, "build and serve a repository from this many generated resumes")
-		followDir  = fs.String("follow", "", "follow a repository checkpoint directory (e.g. `webrev watch -out DIR`): poll, validate, and swap in each good rewrite")
+		followDir  = fs.String("follow", "", "follow a repository directory (e.g. `webrev watch -out DIR`): poll, validate, and swap in each good rewrite")
 		followInt  = fs.Duration("follow-interval", 2*time.Second, "follow mode poll cadence (failure backoff doubles from here)")
 		seed       = fs.Int64("seed", 1, "corpus generator seed")
 		sup        = fs.Float64("sup", 0.5, "schema support threshold for -corpus builds")
@@ -248,7 +252,7 @@ func loadDrift(path string) (*schema.Drift, error) {
 }
 
 // repoSource returns the loader the server boots from and /api/reload
-// re-invokes: a checkpoint directory read, or a full corpus pipeline run.
+// re-invokes: a repository directory read, or a full corpus pipeline run.
 func repoSource(dir string, n int, seed int64, sup, ratio float64) func() (*repository.Repository, error) {
 	if dir != "" {
 		return func() (*repository.Repository, error) {

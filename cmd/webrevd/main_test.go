@@ -1,12 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"webrev/internal/concept"
+	"webrev/internal/core"
+	"webrev/internal/corpus"
 	"webrev/internal/obs"
 	"webrev/internal/schema"
 )
@@ -80,6 +86,52 @@ func TestRepoSourceCheckpointRoundTrip(t *testing.T) {
 	}
 	if loaded.Len() != repo.Len() {
 		t.Fatalf("checkpoint round trip: %d docs, want %d", loaded.Len(), repo.Len())
+	}
+}
+
+// TestRepoSourceOpensShardedBuild: `webrevd -repo` serves the DIR/final a
+// sharded build writes, with the same names and canonical XML as the
+// in-memory build's exported repository.
+func TestRepoSourceOpensShardedBuild(t *testing.T) {
+	p, err := core.New(core.Config{
+		Concepts:       concept.ResumeConcepts(),
+		Constraints:    concept.ResumeConstraints(),
+		RootName:       "resume",
+		SupThreshold:   0.5,
+		RatioThreshold: 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var srcs []core.Source
+	for _, r := range corpus.New(corpus.Options{Seed: 7}).Corpus(12) {
+		srcs = append(srcs, core.Source{Name: r.Name, HTML: r.HTML})
+	}
+	dir := t.TempDir()
+	res, err := p.BuildSharded(context.Background(), srcs, core.ShardOptions{Shards: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Repo.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := repoSource(filepath.Join(dir, "final"), 0, 0, 0, 0)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := repoSource("", 12, 7, 0.5, 0.1)()
+	if err != nil || want.Len() == 0 {
+		t.Fatalf("in-memory build: %v", err)
+	}
+	if got, want := strings.Join(loaded.Names(), ","), strings.Join(want.Names(), ","); got != want {
+		t.Fatalf("names differ:\n got %s\nwant %s", got, want)
+	}
+	for i := 0; i < want.Len(); i++ {
+		got, _ := loaded.Store().XML(i)
+		exp, _ := want.Store().XML(i)
+		if !bytes.Equal(got, exp) {
+			t.Fatalf("document %d differs from the in-memory build", i)
+		}
 	}
 }
 

@@ -37,10 +37,12 @@ import (
 // canonical XML matches an existing blob writes only an index line (the
 // "store.deduped" counter), never duplicate segment bytes.
 //
-// Crash safety: Open scans the index, drops a torn trailing line, and
-// ignores segment bytes past the last indexed extent, so a store killed
-// mid-append reopens at its last complete document. The sharded build
-// additionally truncates to its checkpoint watermark (TruncateDocs).
+// Crash safety: OpenDiskStore scans the index, drops a torn final line,
+// and truncates segment bytes past the last indexed extent, so a store
+// killed mid-append reopens at its last complete document. The sharded
+// build additionally truncates to its checkpoint watermark (TruncateDocs).
+// Readers (LoadDisk, Load) open strictly and read-only: a torn tail is an
+// error there, and reading never writes.
 //
 // All methods are safe for concurrent use; blob reads use pread
 // (File.ReadAt) so readers never contend on a shared file offset.
@@ -52,8 +54,8 @@ type DiskStore struct {
 	dedupeCap   int
 
 	mu      sync.Mutex
-	idx     *os.File    // index.log, append handle
-	seg     *os.File    // segment.blob, O_RDWR: appends at segSize, pread anywhere
+	idx     *os.File    // index.log, append handle; nil when read-only
+	seg     *os.File    // segment.blob: appends at segSize, pread anywhere
 	entries []diskEntry // one per document, insertion order
 	segSize int64
 	dedupe  map[[sha256.Size]byte]blobRef
@@ -121,7 +123,7 @@ func CreateDiskStore(dir string, opts DiskOptions) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("repository: disk store: %w", err)
 	}
-	idx, err := os.OpenFile(filepath.Join(dir, diskIndexFile), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	idx, err := os.OpenFile(filepath.Join(dir, diskIndexFile), os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("repository: disk store: %w", err)
 	}
@@ -130,7 +132,8 @@ func CreateDiskStore(dir string, opts DiskOptions) (*DiskStore, error) {
 		idx.Close()
 		return nil, fmt.Errorf("repository: disk store: %w", err)
 	}
-	s := newDiskStore(dir, idx, seg, opts)
+	s := newDiskStore(dir, seg, opts)
+	s.idx, s.idxW = idx, bufio.NewWriter(idx)
 	if _, err := s.idxW.WriteString(diskHeader + "\n"); err != nil {
 		s.Close()
 		return nil, fmt.Errorf("repository: disk store: %w", err)
@@ -139,94 +142,130 @@ func CreateDiskStore(dir string, opts DiskOptions) (*DiskStore, error) {
 }
 
 // OpenDiskStore opens an existing disk store in dir for reading and further
-// appends. A torn tail (a crash mid-append) is healed: incomplete trailing
-// index lines and unindexed segment bytes are discarded.
+// appends: the shard-resume path. A torn tail (a crash mid-append) is
+// healed: a torn or malformed final index line and unindexed segment bytes
+// are truncated away. A malformed or out-of-range line with lines after it
+// is corruption and a hard error.
 func OpenDiskStore(dir string, opts DiskOptions) (*DiskStore, error) {
+	return openDiskStore(dir, opts, true)
+}
+
+// openDiskStore opens the store in dir. With heal false it is strict and
+// read-only: it opens no file for writing, rejects a torn tail instead of
+// truncating it, and the store refuses appends.
+func openDiskStore(dir string, opts DiskOptions, heal bool) (*DiskStore, error) {
 	data, err := os.ReadFile(filepath.Join(dir, diskIndexFile))
 	if err != nil {
 		return nil, fmt.Errorf("repository: disk store: %w", err)
 	}
-	seg, err := os.OpenFile(filepath.Join(dir, diskSegmentFile), os.O_CREATE|os.O_RDWR, 0o644)
+	flag := os.O_RDONLY
+	if heal {
+		flag = os.O_CREATE | os.O_RDWR
+	}
+	seg, err := os.OpenFile(filepath.Join(dir, diskSegmentFile), flag, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("repository: disk store: %w", err)
 	}
-	segInfo, err := seg.Stat()
-	if err != nil {
-		seg.Close()
-		return nil, fmt.Errorf("repository: disk store: %w", err)
-	}
-	segSize := segInfo.Size()
-
-	header, rest, _ := bytes.Cut(data, []byte("\n"))
-	if string(header) != diskHeader {
-		seg.Close()
-		return nil, fmt.Errorf("repository: disk store: unsupported index header %q (want %q)", header, diskHeader)
-	}
-	var (
-		entries  []diskEntry
-		goodEnd  = int64(len(header)) + 1 // byte offset of the last complete, valid line's end
-		dataSize int64                    // high-water mark of indexed segment extents
-		pos      = goodEnd
-	)
-	for len(rest) > 0 {
-		line, tail, hasNL := bytes.Cut(rest, []byte("\n"))
-		if !hasNL {
-			break // torn trailing line: drop it
-		}
-		lineEnd := pos + int64(len(line)) + 1
-		var dl diskLine
-		if err := json.Unmarshal(line, &dl); err != nil {
-			break // corrupt tail: everything from here on is dropped
-		}
-		sum, err := hex.DecodeString(dl.Sha)
-		if err != nil || len(sum) != sha256.Size || dl.Off < 0 || dl.Len < 0 || dl.Off+int64(dl.Len) > segSize {
-			break
-		}
-		e := diskEntry{name: dl.Name, off: dl.Off, n: dl.Len}
-		copy(e.sum[:], sum)
-		entries = append(entries, e)
-		if end := dl.Off + int64(dl.Len); end > dataSize {
-			dataSize = end
-		}
-		goodEnd = lineEnd
-		pos = lineEnd
-		rest = tail
-	}
-	// Heal: truncate the index to the last good line and the segment to
-	// the last indexed byte, so the next append continues from a
-	// consistent pair.
-	if goodEnd < int64(len(data)) {
-		if err := os.Truncate(filepath.Join(dir, diskIndexFile), goodEnd); err != nil {
-			seg.Close()
-			return nil, fmt.Errorf("repository: disk store heal: %w", err)
-		}
-	}
-	if dataSize < segSize {
-		if err := seg.Truncate(dataSize); err != nil {
-			seg.Close()
-			return nil, fmt.Errorf("repository: disk store heal: %w", err)
-		}
-	}
-	idx, err := os.OpenFile(filepath.Join(dir, diskIndexFile), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		seg.Close()
-		return nil, fmt.Errorf("repository: disk store: %w", err)
-	}
-	s := newDiskStore(dir, idx, seg, opts)
-	s.entries = entries
-	s.segSize = dataSize
-	for _, e := range entries {
-		if len(s.dedupe) >= s.dedupeCap {
-			break
-		}
-		if _, ok := s.dedupe[e.sum]; !ok {
-			s.dedupe[e.sum] = blobRef{off: e.off, n: e.n}
-		}
+	s := newDiskStore(dir, seg, opts)
+	if err := s.open(data, heal); err != nil {
+		s.Close()
+		return nil, fmt.Errorf("repository: disk store %s: %w", dir, err)
 	}
 	return s, nil
 }
 
-func newDiskStore(dir string, idx, seg *os.File, opts DiskOptions) *DiskStore {
+// open loads the index bytes data over the open segment. A torn tail is an
+// error unless heal is set; then index.log opens for appends and the tail
+// is truncated away.
+func (s *DiskStore) open(data []byte, heal bool) error {
+	info, err := s.seg.Stat()
+	if err != nil {
+		return err
+	}
+	valid, err := s.scan(data, info.Size())
+	switch {
+	case err != nil:
+		return err
+	case heal:
+		if s.idx, err = os.OpenFile(filepath.Join(s.dir, diskIndexFile), os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+			return err
+		}
+		s.idxW = bufio.NewWriter(s.idx)
+		return s.truncate(len(s.entries), valid)
+	case valid < len(data) || s.segSize < info.Size():
+		return fmt.Errorf("torn tail: %d of %d index bytes and %d of %d segment bytes are indexed",
+			valid, len(data), s.segSize, info.Size())
+	}
+	return nil
+}
+
+// scan decodes index.log's bytes into the store's entries, whose extents
+// must lie inside a segment of segSize bytes, and returns the length of
+// the index prefix they span. Only the final line may be torn or malformed
+// (a crash mid-append) and is left out; a bad line with lines after it is
+// an error.
+func (s *DiskStore) scan(data []byte, segSize int64) (int, error) {
+	header, rest, ok := bytes.Cut(data, []byte("\n"))
+	if !ok || string(header) != diskHeader {
+		return 0, fmt.Errorf("unsupported index header %q (want %q)", header, diskHeader)
+	}
+	valid := len(header) + 1
+	for len(rest) > 0 {
+		line, tail, complete := bytes.Cut(rest, []byte("\n"))
+		e, err := parseLine(line, segSize)
+		if err != nil && complete && len(tail) > 0 {
+			return 0, fmt.Errorf("index line %d: %v", len(s.entries)+2, err)
+		}
+		if err != nil || !complete {
+			break
+		}
+		s.entries = append(s.entries, e)
+		s.segSize = max(s.segSize, e.off+int64(e.n))
+		valid += len(line) + 1
+		rest = tail
+	}
+	return valid, nil
+}
+
+// truncate keeps the first n entries and the first idxLen bytes of
+// index.log, cuts the segment after the kept entries' last byte so the
+// next append continues from a consistent pair, and rebuilds the dedupe
+// map and the cache to match.
+func (s *DiskStore) truncate(n, idxLen int) error {
+	if err := os.Truncate(filepath.Join(s.dir, diskIndexFile), int64(idxLen)); err != nil {
+		return err
+	}
+	s.entries, s.segSize = s.entries[:n], 0
+	s.dedupe = make(map[[sha256.Size]byte]blobRef)
+	for _, e := range s.entries {
+		s.segSize = max(s.segSize, e.off+int64(e.n))
+		if _, ok := s.dedupe[e.sum]; !ok && len(s.dedupe) < s.dedupeCap {
+			s.dedupe[e.sum] = blobRef{off: e.off, n: e.n}
+		}
+	}
+	s.lru.clear()
+	return s.seg.Truncate(s.segSize)
+}
+
+// parseLine decodes one index line whose extent must lie inside a segment
+// of segSize bytes.
+func parseLine(line []byte, segSize int64) (diskEntry, error) {
+	var dl diskLine
+	if err := json.Unmarshal(line, &dl); err != nil {
+		return diskEntry{}, err
+	}
+	sum, err := hex.DecodeString(dl.Sha)
+	if err != nil || len(sum) != sha256.Size || dl.Off < 0 || dl.Len < 0 || dl.Off > segSize-int64(dl.Len) {
+		return diskEntry{}, fmt.Errorf("bad sha %q or extent %d+%d outside the %d-byte segment", dl.Sha, dl.Off, dl.Len, segSize)
+	}
+	e := diskEntry{name: dl.Name, off: dl.Off, n: dl.Len}
+	copy(e.sum[:], sum)
+	return e, nil
+}
+
+// newDiskStore returns a store over seg with no index handle: read-only
+// until its caller opens index.log for appends.
+func newDiskStore(dir string, seg *os.File, opts DiskOptions) *DiskStore {
 	maxResident := opts.MaxResidentDocs
 	if maxResident == 0 {
 		maxResident = DefaultMaxResidentDocs
@@ -240,9 +279,7 @@ func newDiskStore(dir string, idx, seg *os.File, opts DiskOptions) *DiskStore {
 		tr:          obs.OrNop(opts.Tracer),
 		maxResident: maxResident,
 		dedupeCap:   dedupeCap,
-		idx:         idx,
 		seg:         seg,
-		idxW:        bufio.NewWriter(idx),
 		dedupe:      make(map[[sha256.Size]byte]blobRef),
 		lru:         lruCache{byIdx: make(map[int]*list.Element)},
 	}
@@ -277,8 +314,8 @@ func (s *DiskStore) AppendXML(name string, xml []byte) error {
 	sum := sha256.Sum256(xml)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("repository: disk store: append on closed store")
+	if s.closed || s.idx == nil {
+		return fmt.Errorf("repository: disk store: append on a closed or read-only store")
 	}
 	ref, dup := s.dedupe[sum]
 	if !dup {
@@ -311,6 +348,15 @@ func (s *DiskStore) AppendXML(name string, xml []byte) error {
 func (s *DiskStore) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.flush()
+}
+
+// flush is Flush under the store mutex; a read-only store has nothing to
+// flush.
+func (s *DiskStore) flush() error {
+	if s.idxW == nil {
+		return nil
+	}
 	return s.idxW.Flush()
 }
 
@@ -381,54 +427,21 @@ func (s *DiskStore) TruncateDocs(n int) error {
 	if n == len(s.entries) {
 		return nil
 	}
+	if s.idx == nil {
+		return fmt.Errorf("repository: truncate of a read-only store")
+	}
 	if err := s.idxW.Flush(); err != nil {
 		return err
 	}
-	s.entries = s.entries[:n]
-	var dataSize int64
-	rewrite := bytes.NewBuffer(make([]byte, 0, 64*(n+1)))
-	rewrite.WriteString(diskHeader + "\n")
-	for _, e := range s.entries {
-		if end := e.off + int64(e.n); end > dataSize {
-			dataSize = end
-		}
-		line, err := json.Marshal(diskLine{Name: e.name, Sha: hex.EncodeToString(e.sum[:]), Off: e.off, Len: e.n})
-		if err != nil {
-			return err
-		}
-		rewrite.Write(line)
-		rewrite.WriteByte('\n')
-	}
-	tmp := filepath.Join(s.dir, diskIndexFile+".tmp")
-	if err := os.WriteFile(tmp, rewrite.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("repository: disk store truncate: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, diskIndexFile)); err != nil {
-		return fmt.Errorf("repository: disk store truncate: %w", err)
-	}
-	s.idx.Close()
-	idx, err := os.OpenFile(filepath.Join(s.dir, diskIndexFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	data, err := os.ReadFile(filepath.Join(s.dir, diskIndexFile))
 	if err != nil {
-		return fmt.Errorf("repository: disk store truncate: %w", err)
+		return err
 	}
-	s.idx = idx
-	s.idxW = bufio.NewWriter(idx)
-	if err := s.seg.Truncate(dataSize); err != nil {
-		return fmt.Errorf("repository: disk store truncate: %w", err)
+	idxLen := 0 // the header line and one line per kept entry
+	for range n + 1 {
+		idxLen += bytes.IndexByte(data[idxLen:], '\n') + 1
 	}
-	s.segSize = dataSize
-	// Rebuild the dedupe map and drop cached decodes of removed entries.
-	s.dedupe = make(map[[sha256.Size]byte]blobRef)
-	for _, e := range s.entries {
-		if len(s.dedupe) >= s.dedupeCap {
-			break
-		}
-		if _, ok := s.dedupe[e.sum]; !ok {
-			s.dedupe[e.sum] = blobRef{off: e.off, n: e.n}
-		}
-	}
-	s.lru.clear()
-	return nil
+	return s.truncate(n, idxLen)
 }
 
 // BytesOnDisk returns the store's current footprint: segment bytes plus
@@ -436,7 +449,7 @@ func (s *DiskStore) TruncateDocs(n int) error {
 func (s *DiskStore) BytesOnDisk() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.idxW.Flush()
+	s.flush()
 	var total int64 = s.segSize
 	if fi, err := os.Stat(filepath.Join(s.dir, diskIndexFile)); err == nil {
 		total += fi.Size()
@@ -452,9 +465,11 @@ func (s *DiskStore) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := s.idxW.Flush()
-	if e := s.idx.Close(); err == nil {
-		err = e
+	err := s.flush()
+	if s.idx != nil {
+		if e := s.idx.Close(); err == nil {
+			err = e
+		}
 	}
 	if e := s.seg.Close(); err == nil {
 		err = e

@@ -8,11 +8,10 @@
 package repository
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"webrev/internal/dom"
 	"webrev/internal/dtd"
@@ -83,82 +82,116 @@ func (r *Repository) Add(name string, doc *dom.Node) error {
 // Index returns the label-path index over the stored documents, building
 // it on first use. Building decodes every document once; with a disk
 // store the trees stream through the bounded LRU rather than staying
-// resident (the index itself holds only label paths and refs).
+// resident (the index itself holds only label paths and refs). Index
+// returns nil when a document cannot be read or decoded; Query and Count
+// return that error.
 func (r *Repository) Index() *pathindex.Index {
+	ix, _ := r.buildIndex()
+	return ix
+}
+
+// buildIndex returns the path index, building it if needed. A failed
+// build is not kept, so the next call retries it.
+func (r *Repository) buildIndex() (*pathindex.Index, error) {
 	if r.index == nil {
 		docs := make([]*dom.Node, r.store.Len())
 		for i := range docs {
-			docs[i], _ = r.store.Doc(i)
+			var err error
+			if docs[i], err = r.store.Doc(i); err != nil {
+				return nil, err
+			}
 		}
 		r.index = pathindex.Build(docs)
 	}
-	return r.index
+	return r.index, nil
 }
 
 // Query compiles and evaluates a label-path query (see internal/query for
 // the syntax) against the repository.
 func (r *Repository) Query(expr string) ([]pathindex.Ref, error) {
-	q, err := query.Compile(expr)
+	q, ix, err := r.compile(expr)
 	if err != nil {
 		return nil, err
 	}
-	return q.Evaluate(r.Index()), nil
+	return q.Evaluate(ix), nil
 }
 
 // Count compiles expr and returns the number of matches without
 // materializing them (query.Query.Count streams through the index).
 func (r *Repository) Count(expr string) (int, error) {
-	q, err := query.Compile(expr)
+	q, ix, err := r.compile(expr)
 	if err != nil {
 		return 0, err
 	}
-	return q.Count(r.Index()), nil
+	return q.Count(ix), nil
 }
 
-const (
-	dtdFile      = "schema.dtd"
-	manifestFile = "manifest.txt"
-)
+// compile compiles expr and returns it with the index to evaluate it on.
+func (r *Repository) compile(expr string) (*query.Query, *pathindex.Index, error) {
+	q, err := query.Compile(expr)
+	if err != nil {
+		return nil, nil, err
+	}
+	ix, err := r.buildIndex()
+	return q, ix, err
+}
 
-// Save writes the repository to dir: schema.dtd, one XML file per document,
-// and a manifest mapping files to original names. Documents are copied out
-// as their canonical XML bytes, so saving a disk-backed repository never
-// decodes them.
+const dtdFile = "schema.dtd"
+
+// Save writes the repository to dir in the one repository directory
+// format: a disk store (segment.blob + index.log) plus schema.dtd, which
+// Load and LoadDisk open. Each file is written under a temporary name and
+// renamed into place, index.log last, so Save never rewrites a file in
+// place — a store already open on dir keeps reading the files it opened —
+// and touches no other file in dir. Documents are copied out as their
+// canonical XML bytes, so saving a disk-backed repository never decodes
+// them.
 func (r *Repository) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, dtdFile), []byte(r.dtd.Render()), 0o644); err != nil {
+	tmp, err := os.MkdirTemp(dir, ".save-")
+	if err != nil {
 		return err
 	}
-	var manifest strings.Builder
-	for i := 0; i < r.store.Len(); i++ {
-		file := fmt.Sprintf("doc-%05d.xml", i)
-		xml, err := r.store.XML(i)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dir, file), xml, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(&manifest, "%s\t%s\n", file, r.store.Name(i))
+	defer os.RemoveAll(tmp)
+	s, err := CreateDiskStore(tmp, DiskOptions{MaxResidentDocs: -1})
+	if err != nil {
+		return err
 	}
-	return os.WriteFile(filepath.Join(dir, manifestFile), []byte(manifest.String()), 0o644)
+	err = SaveDTDFile(tmp, r.dtd)
+	for i := 0; i < r.store.Len() && err == nil; i++ {
+		var xml []byte
+		if xml, err = r.store.XML(i); err == nil {
+			err = s.AppendXML(r.store.Name(i), xml)
+		}
+	}
+	if e := s.Close(); err == nil {
+		err = e
+	}
+	for _, name := range []string{diskSegmentFile, dtdFile, diskIndexFile} {
+		if err == nil {
+			err = os.Rename(filepath.Join(tmp, name), filepath.Join(dir, name))
+		}
+	}
+	return err
 }
 
 // SaveDTDFile writes the rendered DTD into dir under the standard
 // schema.dtd name, making a disk store's directory a self-contained
-// repository for LoadDisk. The sharded build (core.BuildSharded) calls
-// this on its final segment directory.
+// repository for Load and LoadDisk. The sharded build (core.BuildSharded)
+// calls this on its final segment directory.
 func SaveDTDFile(dir string, d *dtd.DTD) error {
 	return os.WriteFile(filepath.Join(dir, dtdFile), []byte(d.Render()), 0o644)
 }
 
 // LoadDisk opens a disk-backed repository: the DTD from dir/schema.dtd and
 // the documents from the disk store (index.log + segment.blob) in the same
-// directory. Documents are not re-validated — they were validated when the
-// store was built — so opening is O(index size), independent of corpus
-// volume.
+// directory. The open is strict and read-only: a torn or corrupt index, or
+// unindexed segment bytes, is an error, and nothing in dir is written.
+// Documents are trusted — not hashed or re-validated, as they were
+// validated when the store was built — so opening is O(index size),
+// independent of corpus volume.
 func LoadDisk(dir string, opts DiskOptions) (*Repository, error) {
 	dtdText, err := os.ReadFile(filepath.Join(dir, dtdFile))
 	if err != nil {
@@ -168,50 +201,41 @@ func LoadDisk(dir string, opts DiskOptions) (*Repository, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := OpenDiskStore(dir, opts)
+	s, err := openDiskStore(dir, opts, false)
 	if err != nil {
 		return nil, err
 	}
 	return NewWithStore(d, s), nil
 }
 
-// Load reads a repository previously written by Save. Every document is
-// re-validated against the loaded DTD.
+// Load opens the repository in dir (as Save or a sharded build writes it)
+// like LoadDisk, then reads it into memory: every document is decoded
+// once, checked against its index SHA-256, validated against the DTD, and
+// indexed. Load closes the directory's files before it returns.
 func Load(dir string) (*Repository, error) {
-	dtdText, err := os.ReadFile(filepath.Join(dir, dtdFile))
-	if err != nil {
-		return nil, fmt.Errorf("repository: %w", err)
-	}
-	d, err := dtd.Parse(string(dtdText))
+	disk, err := LoadDisk(dir, DiskOptions{MaxResidentDocs: -1})
 	if err != nil {
 		return nil, err
 	}
-	r := New(d)
-	manifest, err := os.ReadFile(filepath.Join(dir, manifestFile))
-	if err != nil {
-		return nil, fmt.Errorf("repository: %w", err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(manifest)), "\n")
-	sort.SliceStable(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, line := range lines {
-		if line == "" {
-			continue
+	s := disk.store.(*DiskStore)
+	defer s.Close()
+	r := New(disk.dtd)
+	docs := make([]*dom.Node, s.Len())
+	for i, e := range s.entries {
+		xml, err := s.XML(i)
+		if err == nil && sha256.Sum256(xml) != e.sum {
+			err = fmt.Errorf("bytes do not match the index SHA-256")
 		}
-		file, name, ok := strings.Cut(line, "\t")
-		if !ok {
-			return nil, fmt.Errorf("repository: malformed manifest line %q", line)
+		if err == nil {
+			docs[i], err = xmlout.UnmarshalElement(string(xml))
 		}
-		data, err := os.ReadFile(filepath.Join(dir, file))
+		if err == nil {
+			err = r.Add(e.name, docs[i])
+		}
 		if err != nil {
-			return nil, fmt.Errorf("repository: %w", err)
-		}
-		doc, err := xmlout.UnmarshalElement(string(data))
-		if err != nil {
-			return nil, fmt.Errorf("repository: %s: %w", file, err)
-		}
-		if err := r.Add(name, doc); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("repository: %s: document %d: %w", dir, i, err)
 		}
 	}
+	r.index = pathindex.Build(docs)
 	return r, nil
 }

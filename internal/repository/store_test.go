@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"webrev/internal/obs"
@@ -366,5 +368,130 @@ func TestRepositoryOnDiskStore(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDiskStoreCorruptMiddleLine: a malformed index line with lines after
+// it is corruption, not a torn tail. Every open rejects the store and
+// leaves both files as they were instead of truncating the later
+// documents away.
+func TestDiskStoreCorruptMiddleLine(t *testing.T) {
+	dir := t.TempDir()
+	s, err := CreateDiskStore(dir, DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := s.Append(fmt.Sprintf("doc-%d", i), conformingDoc(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveDTDFile(dir, testDTD(t)); err != nil {
+		t.Fatal(err)
+	}
+	editFile(t, dir, "index.log", func(b []byte) []byte {
+		lines := strings.Split(string(b), "\n")
+		lines[2] = strings.Replace(lines[2], `"sha":"`, `"sha":"zz`, 1) // the second document
+		return []byte(strings.Join(lines, "\n"))
+	})
+	before := dirBytes(t, dir)
+	if s, err := OpenDiskStore(dir, DiskOptions{}); err == nil {
+		t.Fatalf("OpenDiskStore accepted a corrupt middle line and kept %d documents", s.Len())
+	}
+	if _, err := LoadDisk(dir, DiskOptions{}); err == nil || !strings.Contains(err.Error(), "index line 3") {
+		t.Fatalf("LoadDisk error = %v, want one naming index line 3", err)
+	}
+	if !reflect.DeepEqual(dirBytes(t, dir), before) {
+		t.Fatal("opening a corrupt store changed its files")
+	}
+}
+
+// TestReadingNeverWrites opens a store while its writer still buffers the
+// index line of its last append. The readers reject the torn tail without
+// healing it, so the writer's store, once closed, reopens whole.
+func TestReadingNeverWrites(t *testing.T) {
+	dir := t.TempDir()
+	// Four distinct documents (storeDocs' fourth duplicates its first).
+	fourth, _ := testDoc(t, "<resume><name val=\"Edsger\"/></resume>")
+	docs := append(storeDocs(t)[:3], fourth)
+	w, err := CreateDiskStore(dir, DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, xml := range docs {
+		if i == 3 {
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.AppendXML(fmt.Sprintf("doc-%d", i), xml); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := SaveDTDFile(dir, testDTD(t)); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, dir)
+	if _, err := LoadDisk(dir, DiskOptions{}); err == nil {
+		t.Fatal("LoadDisk opened a store with unindexed segment bytes")
+	}
+	if _, err := Load(dir); err == nil {
+		t.Fatal("Load opened a store with unindexed segment bytes")
+	}
+	if !reflect.DeepEqual(dirBytes(t, dir), before) {
+		t.Fatal("a reader changed the store's files")
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenDiskStore(dir, DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != len(docs) {
+		t.Fatalf("writer's store reopened with %d documents, want %d", s.Len(), len(docs))
+	}
+	for i, want := range docs {
+		if got, err := s.XML(i); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("document %d did not survive (err %v)", i, err)
+		}
+	}
+}
+
+// TestOpenStoreSurvivesSave: Save publishes by renaming, so a store opened
+// before a Save into its directory keeps reading the documents it opened.
+func TestOpenStoreSurvivesSave(t *testing.T) {
+	dir := t.TempDir()
+	old := repoOf(t, "old", 3)
+	if err := old.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	open, err := LoadDisk(dir, DiskOptions{MaxResidentDocs: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer open.Store().Close()
+	if err := open.Add("new", conformingDoc("new")); err == nil {
+		t.Fatal("a LoadDisk repository accepted an append")
+	}
+	if err := repoOf(t, "new", 5).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if open.Len() != 3 {
+		t.Fatalf("open store has %d documents after the Save, want 3", open.Len())
+	}
+	for i := 0; i < 3; i++ {
+		want, _ := old.Store().XML(i)
+		got, err := open.Store().XML(i)
+		if err != nil || !bytes.Equal(got, want) || open.Names()[i] != old.Names()[i] {
+			t.Fatalf("open store's document %d changed under a Save (err %v)", i, err)
+		}
+	}
+	if r, err := Load(dir); err != nil || r.Len() != 5 || r.Names()[0] != "new-0" {
+		t.Fatalf("Load after the Save: %v", err)
 	}
 }

@@ -21,9 +21,12 @@ type FollowOptions struct {
 	Load func() (*repository.Repository, error)
 	// Fingerprint cheaply identifies the source's current content; Follow
 	// only calls Load when the fingerprint differs from the last
-	// successfully installed one. Nil means every poll attempts a load. A
-	// fingerprint error counts as "changed" (the source may be mid-write —
-	// exactly when validation must arbitrate).
+	// successfully installed one, and installs a load only if the
+	// fingerprint is unchanged across it (a source rewritten mid-load may
+	// have been read torn). Nil means every poll attempts a load and
+	// installs whatever validates. A fingerprint error counts as "changed"
+	// (the source may be mid-write — exactly when validation must
+	// arbitrate).
 	Fingerprint func() (string, error)
 	// Interval is the poll cadence while healthy (default 2s).
 	Interval time.Duration
@@ -83,20 +86,23 @@ func (s *Server) Follow(ctx context.Context, opts FollowOptions) error {
 		}
 		first = false
 
-		fp := ""
+		var fp string
+		var fpErr error
 		if opts.Fingerprint != nil {
-			v, err := opts.Fingerprint()
-			if err == nil {
-				fp = v
-				if fp == lastGood && failures == 0 {
-					continue // source unchanged, nothing to do
-				}
+			fp, fpErr = opts.Fingerprint()
+			if fpErr == nil && fp == lastGood && failures == 0 {
+				continue // source unchanged, nothing to do
 			}
 			// A fingerprint error falls through to a load attempt: the
 			// source may be appearing or mid-write.
 		}
 
 		repo, err := safeReload(opts.Load)
+		if err == nil && opts.Fingerprint != nil {
+			if now, nowErr := opts.Fingerprint(); fpErr != nil || nowErr != nil || now != fp {
+				err = fmt.Errorf("serve: follow: source changed during the load")
+			}
+		}
 		if err == nil {
 			var gen uint64
 			gen, err = s.TrySwap(repo)
@@ -134,35 +140,22 @@ func backoff(base time.Duration, n int, max time.Duration) time.Duration {
 	return d
 }
 
-// DirFingerprint summarizes a repository checkpoint directory (the
-// `repository.Save` layout: schema.dtd + manifest.txt + doc files) into a
-// cheap content fingerprint: an FNV-1a hash over the DTD and manifest
-// bytes plus each listed document's size. Any rewrite of the checkpoint —
-// including a partial one — changes the fingerprint, which is what
-// triggers a follow-mode reload attempt; validation then decides whether
-// the new state is servable.
+// DirFingerprint summarizes a repository directory (the disk store plus
+// schema.dtd that repository.Save writes) into a cheap content
+// fingerprint: an FNV-1a hash over the schema.dtd and index.log bytes.
+// Every index line carries its document's SHA-256, so any rewrite of the
+// repository — including a partial one — changes the fingerprint, which
+// is what triggers a follow-mode reload attempt; validation then decides
+// whether the new state is servable.
 func DirFingerprint(dir string) (string, error) {
 	h := fnv.New64a()
-	for _, name := range []string{"schema.dtd", "manifest.txt"} {
+	for _, name := range []string{"schema.dtd", "index.log"} {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return "", err
 		}
 		h.Write(data)
 		h.Write([]byte{0})
-	}
-	// Fold in doc-file sizes so a torn doc rewrite (same manifest) still
-	// changes the fingerprint.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", err
-	}
-	for _, e := range entries {
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(h, "%s:%d\x00", e.Name(), info.Size())
 	}
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }

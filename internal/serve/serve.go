@@ -302,9 +302,10 @@ func (s *Server) Swap(repo *repository.Repository) uint64 {
 }
 
 // ValidateSnapshot decides whether a candidate repository is fit to serve:
-// non-nil, non-empty, with a parseable DTD and a non-empty path index. A
-// reload source mid-write or corrupt on disk fails here and the server
-// keeps answering from the last good generation.
+// non-nil, non-empty, with a parseable DTD and a non-empty path index
+// built from documents that all read and decode. A reload source
+// mid-write or corrupt on disk fails here and the server keeps answering
+// from the last good generation.
 func ValidateSnapshot(repo *repository.Repository) error {
 	if repo == nil {
 		return fmt.Errorf("candidate snapshot is nil")
@@ -318,7 +319,13 @@ func ValidateSnapshot(repo *repository.Repository) error {
 	if repo.Len() == 0 {
 		return fmt.Errorf("candidate snapshot is empty")
 	}
-	if len(repo.Index().Paths()) == 0 {
+	// Counting the root elements builds the path index the install
+	// freezes, so a document that does not read or decode fails here.
+	n, err := repo.Count("/*")
+	if err != nil {
+		return fmt.Errorf("candidate snapshot: %w", err)
+	}
+	if n == 0 {
 		return fmt.Errorf("candidate snapshot has an empty path index")
 	}
 	return nil

@@ -156,8 +156,11 @@ const (
 	GaugeStreamShards       = obs.GaugeStreamShards
 )
 
-// LoadRepository reads a repository previously written with
-// XMLRepository.Save.
+// LoadRepository reads the repository directory that XMLRepository.Save
+// or a sharded build (its WORK/final) writes: a disk store plus
+// schema.dtd. It opens the directory read-only and strictly, checks every
+// document against its SHA-256 and the DTD, and returns the repository in
+// memory with its path index built.
 func LoadRepository(dir string) (*XMLRepository, error) { return repository.Load(dir) }
 
 // Re-exported serving layer (cmd/webrevd's engine; see ARCHITECTURE.md §6).
