@@ -64,14 +64,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFoldSubtract -fuzztime $(FUZZTIME) ./internal/schema/
 	$(GO) test -run '^$$' -fuzz FuzzDiskStoreOpen -fuzztime $(FUZZTIME) ./internal/repository/
 
-# E1-E5 micro/macro benchmarks plus metrics snapshots of the full batch
-# pipeline (experiment E8 -> BENCH_pipeline.json) and the streaming
-# crawl-and-build comparison (experiment E9 -> BENCH_stream.json), both
-# written through the observability layer.
+# Every Go benchmark of the module (E1-E5 micro/macro benchmarks and the
+# rest). Per-layer numbers come from `bash perfbench/run.sh --trace 1`.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
-	$(GO) run ./cmd/webrev experiments -run E8 -docs 100 -seed 1 -metrics BENCH_pipeline.json
-	$(GO) run ./cmd/webrev experiments -run E9 -docs 200 -seed 1 -metrics BENCH_stream.json
 
 # Convert-stage throughput snapshot: runs the hot-path benchmarks (3
 # repeats, min kept) and writes BENCH_convert.json with commit/platform
@@ -92,14 +88,18 @@ bench-map:
 		./internal/mapping/ ./internal/schema/ | tee /tmp/bench_map.txt
 	$(GO) run ./cmd/benchdiff -parse -out BENCH_map.json /tmp/bench_map.txt
 
-# Serving-latency snapshot: webrevd's load-test harness drives 64
-# concurrent clients against a corpus-built repository with background
-# snapshot swaps (ServeMixed rows), then a 4x-overload pass into a tiny
-# admission limit (ServeOverload goodput/p99 rows), and writes the result
-# as BENCH_serve.json (same file shape as bench-convert, so cmd/benchdiff
-# compares it directly).
+# Serving-latency snapshot: `webrev build` writes a 200-document
+# repository directory, then webrevd's load-test harness drives 64
+# concurrent clients against it with background snapshot swaps, each a
+# reload of the directory as in follow mode (ServeMixed rows), then a
+# 4x-overload pass into a tiny admission limit (ServeOverload goodput/p99
+# rows), and writes the result as BENCH_serve.json (same file shape as
+# bench-convert, so cmd/benchdiff compares it directly).
 bench-serve:
-	$(GO) run ./cmd/webrevd -corpus 200 -seed 1 -bench \
+	$(GO) build -o bin/webrev ./cmd/webrev
+	rm -rf .scale/serve
+	bin/webrev build -n 200 -seed 1 -dir .scale/serve > /dev/null
+	$(GO) run ./cmd/webrevd -repo .scale/serve/final -bench \
 		-clients 64 -duration 3s -swap-every 500ms -out BENCH_serve.json
 
 # Statement-coverage gate over the hot-path packages. The coverprofile is
@@ -185,22 +185,22 @@ scale-smoke:
 	$(GO) build -o bin/corpusgen ./cmd/corpusgen
 	bin/corpusgen -n $(SCALE_DOCS) -seed $(SCALE_SEED) -out $(SCALE_CORPUS) -if-stale
 	rm -rf $(SCALE_DIR)
-	bin/rsscheck -budget-kb $(SCALE_BUDGET_KB) bin/webrev scale \
+	bin/rsscheck -budget-kb $(SCALE_BUDGET_KB) bin/webrev build \
 		-corpus $(SCALE_CORPUS) -shards $(SCALE_SHARDS) -dir $(SCALE_DIR)
-	bin/webrev scale -corpus $(SCALE_CORPUS) -shards $(SCALE_SHARDS) \
+	bin/webrev build -corpus $(SCALE_CORPUS) -shards $(SCALE_SHARDS) \
 		-dir $(SCALE_DIR) -verify
 	bin/webrev query -repo $(SCALE_DIR)/final '//education' > $(SCALE_DIR)/query.out
 	tail -n 1 $(SCALE_DIR)/query.out | awk '{ print } $$1 == 0 { exit 1 }'
 
 # Sharded-build scaling snapshot: a smoke-scale synthetic sharded build's
 # wall/rss_kb/disk_bytes rows merged into BENCH_shard.json (the committed
-# file also carries the 100k and 1M sweep rows from `webrev scale
+# file also carries the 100k and 1M sweep rows from `webrev build
 # -bench-out`). The CI bench-regression job regenerates this row on the PR
 # head and its merge base and gates the wall-clock delta at 25%.
 bench-shard:
 	$(GO) build -o bin/webrev ./cmd/webrev
 	rm -rf .scale/bench
-	bin/webrev scale -n $(SCALE_DOCS) -seed $(SCALE_SEED) -shards $(SCALE_SHARDS) \
+	bin/webrev build -n $(SCALE_DOCS) -seed $(SCALE_SEED) -shards $(SCALE_SHARDS) \
 		-dir .scale/bench -bench-out BENCH_shard.json
 
 # Code size next to the benches: non-test Go code lines of this module per

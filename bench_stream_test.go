@@ -4,8 +4,8 @@
 // byte-identical repositories (pinned by TestBuildStreamMatchesBuild and
 // the golden stream tests); these benchmarks measure what the bounded
 // pipeline costs — or saves — in time and allocations. `make check` runs
-// them once in -short mode; `make bench` produces the full numbers
-// alongside BENCH_stream.json.
+// them once in -short mode; `make bench` produces the full numbers, and
+// `bash perfbench/run.sh --trace 1` the per-layer ones.
 package webrev_test
 
 import (

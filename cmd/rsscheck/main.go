@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	rsscheck -budget-kb 524288 ./webrev scale -dir work -corpus corpus -shards 2
+//	rsscheck -budget-kb 524288 ./webrev build -dir work -corpus corpus -shards 2
 //
 // The child's stdout/stderr pass through; a child that itself fails makes
 // rsscheck fail regardless of memory use. Wrap a compiled binary, not

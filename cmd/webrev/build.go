@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,26 +21,31 @@ import (
 	"webrev/internal/repository"
 )
 
-// cmdScale runs a sharded, disk-backed build at scale and reports its
-// cost: wall time, peak RSS, and bytes on disk, optionally as
-// BENCH_shard.json rows the bench-regression gate compares. Sources come
-// from a corpus directory (-corpus, e.g. one cmd/corpusgen wrote) or are
-// generated on the fly (-n/-seed) — either way they are produced lazily,
-// one document at a time inside the owning shard, so the corpus is never
-// resident and RSS stays bounded by -max-resident regardless of -n.
+// cmdBuild runs the full pipeline — convert, discover, derive, conform —
+// as a sharded, disk-backed build (core.Pipeline.BuildShardedFrom) into
+// the working directory -dir: shard-NNN/ holds each shard's checkpoint and
+// segments, final/ the repository. A rerun over the same directory resumes
+// from the shards' checkpoints. Without -dir the working directory is
+// temporary and removed on exit, so -out is where the repository stays.
+//
+// Sources are the file arguments, the .html files of -corpus DIR (sorted
+// by name), or -n resumes generated from -seed. Either way each one is
+// read or generated lazily by the shard that owns it, so the corpus is
+// never resident and peak RSS stays flat in corpus size. The command
+// reports wall time, peak RSS and bytes on disk, and -bench-out records
+// them as ShardBuild/... rows in a BENCH_shard.json.
 //
 // With -verify the same sources also go through the single-process
-// in-memory build, and the two repositories are compared byte for byte —
+// in-memory build, and the two repositories must match byte for byte —
 // the CI scale-smoke gate's identity check.
-func cmdScale(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("scale", flag.ExitOnError)
-	corpusDir := fs.String("corpus", "", "read .html sources from this directory (sorted by name) instead of generating")
-	n := fs.Int("n", 10000, "synthetic documents to generate when -corpus is unset")
-	seed := fs.Int64("seed", 1, "generator seed for synthetic documents")
-	shards := fs.Int("shards", 2, "independent shard workers")
-	dir := fs.String("dir", "", "working directory for shard state and the final disk repository (required)")
-	maxResident := fs.Int("max-resident", repository.DefaultMaxResidentDocs, "decoded-document LRU bound of the final disk store")
-	ckptEvery := fs.Int("checkpoint-every", 256, "documents a shard processes between durable checkpoints")
+func cmdBuild(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("build", flag.ExitOnError)
+	corpusDir := fs.String("corpus", "", "build the .html files of this directory (sorted by name)")
+	n := fs.Int("n", 0, "build this many generated resumes")
+	seed := fs.Int64("seed", 1, "generator seed for -n")
+	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "independent shard workers")
+	dir := fs.String("dir", "", "working directory for shard checkpoints and the repository in DIR/final (default: a temporary directory removed on exit)")
+	out := fs.String("out", "", "copy the repository to this directory")
 	root := fs.String("root", "resume", "root element name")
 	sup := fs.Float64("sup", 0.5, "support threshold")
 	ratio := fs.Float64("ratio", 0.1, "support-ratio threshold")
@@ -47,13 +53,17 @@ func cmdScale(args []string, w io.Writer) error {
 	benchOut := fs.String("bench-out", "", "write ShardBuild/... rows (wall, rss_kb, disk_bytes) to this BENCH_shard.json, merging with existing rows")
 	metricsOut, pprofAddr := obsFlags(fs)
 	fs.Parse(args)
-	if *dir == "" {
-		return fmt.Errorf("usage: webrev scale -dir WORK [-corpus DIR | -n N -seed S] [-shards N] [-max-resident N] [-verify] [-bench-out FILE]")
-	}
 
-	total, at, err := scaleSources(*corpusDir, *n, *seed)
+	total, at, err := buildSources(fs.Args(), *corpusDir, *n, *seed)
 	if err != nil {
 		return err
+	}
+	work := *dir
+	if work == "" {
+		if work, err = os.MkdirTemp("", "webrev-build-"); err != nil {
+			return err
+		}
+		defer os.RemoveAll(work)
 	}
 
 	coll := obs.NewCollector()
@@ -71,22 +81,26 @@ func cmdScale(args []string, w io.Writer) error {
 	}
 
 	startT := time.Now()
-	res, err := p.BuildShardedFrom(context.Background(), total, at, core.ShardOptions{
-		Shards:          *shards,
-		Dir:             *dir,
-		CheckpointEvery: *ckptEvery,
-		Store:           repository.DiskOptions{MaxResidentDocs: *maxResident},
-	})
+	res, err := p.BuildShardedFrom(context.Background(), total, at, core.ShardOptions{Shards: *shards, Dir: work})
 	if err != nil {
 		return err
 	}
+	defer res.Repo.Store().Close() // error paths; success checks Close below
 	wall := time.Since(startT)
 	rssKB := peakRSSKB()
-	fmt.Fprintf(w, "sharded build: %d docs, %d shards, %d quarantined, %d degraded\n",
-		total, *shards, len(res.Quarantined), len(res.Degraded))
-	fmt.Fprintf(w, "wall %.2fs, peak RSS %d KB, %d bytes on disk, DTD %d elements\n",
-		wall.Seconds(), rssKB, res.BytesOnDisk, res.DTD.Len())
-	fmt.Fprintf(w, "final repository: %s (open with webrev query -repo or webrevd -repo)\n", filepath.Join(*dir, "final"))
+	stored := res.Repo.Len()
+	fmt.Fprintf(w, "built %d of %d documents in %d shards (%d quarantined, %d degraded); schema %d paths; DTD %d elements\n",
+		stored, total, min(*shards, total), len(res.Quarantined), len(res.Degraded), len(res.Schema.Paths()), res.DTD.Len())
+	fmt.Fprintf(w, "wall %.2fs, peak RSS %d KB, %d bytes on disk\n", wall.Seconds(), rssKB, res.BytesOnDisk)
+	if tr != nil {
+		fmt.Fprint(w, coll.Snapshot().Summary())
+	}
+	fmt.Fprintf(w, "pre-mapping conformance %.1f%%, total mapping cost %d edits\n",
+		100*float64(res.Conforming)/float64(max(stored, 1)), res.TotalMapCost)
+	fmt.Fprint(w, res.DTD.Render())
+	if *dir != "" {
+		fmt.Fprintf(w, "repository: %s (open with webrev query -repo or webrevd -repo)\n", filepath.Join(work, "final"))
+	}
 
 	if *benchOut != "" {
 		prefix := fmt.Sprintf("ShardBuild/docs=%d/shards=%d", total, *shards)
@@ -100,39 +114,57 @@ func cmdScale(args []string, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "wrote %d bench rows to %s\n", len(rows), *benchOut)
 	}
-
-	if *verify {
-		if err := verifySharded(p, total, at, res.Repo, w); err != nil {
+	if *out != "" {
+		if err := res.Repo.Save(*out); err != nil {
 			return err
 		}
+		fmt.Fprintf(w, "wrote %d XML documents and schema.dtd to %s\n", stored, *out)
+	}
+	if *verify {
+		if err := verifyBuild(p, total, at, res.Repo, w); err != nil {
+			return err
+		}
+	}
+	if err := res.Repo.Store().Close(); err != nil {
+		return err
 	}
 	return finish()
 }
 
-// scaleSources resolves the lazy source provider: files of a corpus
-// directory, or per-index seeded synthetic resumes. Per-index seeding
-// (rather than one sequential generator) is what lets any shard produce
-// exactly its own range without generating everyone else's prefix.
-func scaleSources(corpusDir string, n int, seed int64) (int, func(int) (core.Source, error), error) {
+// buildSources resolves build's lazy source provider from exactly one of:
+// the file arguments, in the order given; the .html files of corpusDir,
+// sorted by name; or n synthetic resumes. Synthetic resumes are seeded per
+// index (rather than by one sequential generator), which lets any shard
+// produce exactly its own range without generating everyone else's
+// prefix.
+func buildSources(files []string, corpusDir string, n int, seed int64) (int, func(int) (core.Source, error), error) {
+	set := 0
+	for _, on := range []bool{len(files) > 0, corpusDir != "", n > 0} {
+		if on {
+			set++
+		}
+	}
+	if set != 1 {
+		return 0, nil, fmt.Errorf("usage: webrev build [flags] (file.html... | -corpus DIR | -n N [-seed S])")
+	}
 	if corpusDir != "" {
-		matches, err := filepath.Glob(filepath.Join(corpusDir, "*.html"))
-		if err != nil {
+		var err error
+		if files, err = filepath.Glob(filepath.Join(corpusDir, "*.html")); err != nil {
 			return 0, nil, err
 		}
-		if len(matches) == 0 {
+		if len(files) == 0 {
 			return 0, nil, fmt.Errorf("no .html files in %s", corpusDir)
 		}
-		sort.Strings(matches)
-		return len(matches), func(i int) (core.Source, error) {
-			b, err := os.ReadFile(matches[i])
+		sort.Strings(files)
+	}
+	if len(files) > 0 {
+		return len(files), func(i int) (core.Source, error) {
+			b, err := os.ReadFile(files[i])
 			if err != nil {
 				return core.Source{}, err
 			}
-			return core.Source{Name: matches[i], HTML: string(b)}, nil
+			return core.Source{Name: files[i], HTML: string(b)}, nil
 		}, nil
-	}
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("-n must be positive")
 	}
 	return n, func(i int) (core.Source, error) {
 		g := corpus.New(corpus.Options{Seed: seed + int64(i)*1000003})
@@ -140,12 +172,12 @@ func scaleSources(corpusDir string, n int, seed int64) (int, func(int) (core.Sou
 	}, nil
 }
 
-// verifySharded runs the single-process in-memory build over the same
+// verifyBuild runs the single-process in-memory build over the same
 // sources and requires the sharded repository to match it byte for byte:
 // same DTD, same document names, same canonical XML. This materializes the
 // whole corpus, so it is meant for smoke-scale runs (the 10k CI gate), not
 // the million-document sweep.
-func verifySharded(p *core.Pipeline, total int, at func(int) (core.Source, error), sharded *repository.Repository, w io.Writer) error {
+func verifyBuild(p *core.Pipeline, total int, at func(int) (core.Source, error), sharded *repository.Repository, w io.Writer) error {
 	sources := make([]core.Source, total)
 	for i := range sources {
 		s, err := at(i)

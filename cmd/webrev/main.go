@@ -1,22 +1,22 @@
 // Command webrev drives the full pipeline from the shell: convert HTML
-// files to XML, discover a majority schema, derive a DTD, map documents to
-// conform, and regenerate the paper's experiments.
+// files to XML, discover a majority schema, derive a DTD, build the
+// conformed repository, and regenerate the paper's experiments.
 //
 // Usage:
 //
 //	webrev convert  [-root resume] file.html...        # HTML -> XML on stdout
 //	webrev schema   [-sup 0.5] [-ratio 0.1] file.html...
 //	webrev dtd      [-sup 0.5] [-ratio 0.1] file.html...
-//	webrev build    [-out dir] [-shards N] [-store mem|disk] [-metrics snap.json] [-pprof addr] file.html...
-//	webrev scale    -dir WORK [-corpus DIR | -n N] [-shards N] [-max-resident N] [-verify] [-bench-out FILE]
+//	webrev build    [-dir WORK] [-out DIR] [-shards N] [-verify] [-bench-out FILE] [-metrics snap.json] [-pprof addr] (file.html... | -corpus DIR | -n N [-seed S])
+//	webrev query    -repo DIR 'EXPR'
 //	webrev quarantine -dir DIR [list|replay]           # inspect / replay failed documents
 //	webrev watch -seed URL [-checkpoint DIR] [-cycles N] [-interval 15m] [-drift FILE] [-out dir]
 //	webrev experiments [-run E1,...] [-docs N] [-seed N] [-metrics snap.json] [-pprof addr]
 //
 // build and experiments take observability flags: -metrics FILE writes a
-// JSON snapshot of per-stage timings and counters (the BENCH_pipeline.json
-// format), and -pprof ADDR serves /debug/pprof, /debug/vars and /metrics on
-// ADDR for the duration of the run.
+// JSON snapshot of per-stage timings and counters, and -pprof ADDR serves
+// /debug/pprof, /debug/vars and /metrics on ADDR for the duration of the
+// run.
 package main
 
 import (
@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -58,8 +57,6 @@ func main() {
 		err = cmdSchema(os.Args[2:], true, os.Stdout)
 	case "build":
 		err = cmdBuild(os.Args[2:], os.Stdout)
-	case "scale":
-		err = cmdScale(os.Args[2:], os.Stdout)
 	case "query":
 		err = cmdQuery(os.Args[2:], os.Stdout)
 	case "suggest":
@@ -90,10 +87,10 @@ commands:
   convert      transform HTML files into concept-tagged XML
   schema       discover the majority schema over HTML files
   dtd          derive the DTD over HTML files
-  build        full pipeline: convert, discover, derive, conform
-               (-shards N -store disk shards the build onto a disk-backed store)
-  scale        sharded disk-backed build at scale: lazy sources, flat RSS,
-               wall/RSS/disk bench rows, optional byte-identity verify
+  build        full pipeline: convert, discover, derive, conform, as a
+               sharded disk-backed build of files, -corpus DIR or -n N
+               resumes into -dir WORK (repository in WORK/final, -out DIR
+               copies it); reports wall/RSS/disk, -verify checks identity
   query        evaluate a label-path query against a built repository
   suggest      propose new concept instances from unidentified text
   quarantine   list documents a build quarantined, or replay them after a fix
@@ -222,105 +219,9 @@ func cmdSchema(args []string, asDTD bool, w io.Writer) error {
 	return nil
 }
 
-func cmdBuild(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("build", flag.ExitOnError)
-	root := fs.String("root", "resume", "root element name")
-	sup := fs.Float64("sup", 0.5, "support threshold")
-	ratio := fs.Float64("ratio", 0.1, "support-ratio threshold")
-	out := fs.String("out", "", "directory for the conformed XML repository")
-	shards := fs.Int("shards", 1, "shard the build across N independent workers (implies -store disk)")
-	store := fs.String("store", "mem", "document store backing the build: mem or disk")
-	shardDir := fs.String("shard-dir", "", "working directory for the sharded build (default: a temp directory)")
-	maxResident := fs.Int("max-resident", repository.DefaultMaxResidentDocs, "decoded-document LRU bound of the disk store")
-	metricsOut, pprofAddr := obsFlags(fs)
-	fs.Parse(args)
-	if *store != "mem" && *store != "disk" {
-		return fmt.Errorf("unknown -store %q (want mem or disk)", *store)
-	}
-	coll := obs.NewCollector()
-	var tr obs.Tracer
-	if *metricsOut != "" || *pprofAddr != "" {
-		tr = coll
-	}
-	p, err := newTracedPipeline(*root, *sup, *ratio, tr)
-	if err != nil {
-		return err
-	}
-	finish, err := startObs(coll, *metricsOut, *pprofAddr, w)
-	if err != nil {
-		return err
-	}
-	srcs, err := readSources(fs.Args())
-	if err != nil {
-		return err
-	}
-	if *shards > 1 || *store == "disk" {
-		return buildSharded(p, srcs, *shards, *shardDir, *maxResident, *out, coll, tr != nil, w, finish)
-	}
-	repo, err := p.Build(srcs)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "converted %d documents; schema %d paths; DTD %d elements\n",
-		len(repo.Docs), len(repo.Schema.Paths()), repo.DTD.Len())
-	if tr != nil {
-		fmt.Fprint(w, coll.Snapshot().Summary())
-	}
-	fmt.Fprintf(w, "pre-mapping conformance %.1f%%, total mapping cost %d edits\n",
-		repo.ConformanceRate()*100, repo.TotalMapCost())
-	fmt.Fprint(w, repo.DTD.Render())
-	if *out == "" {
-		return finish()
-	}
-	stored := repo.Export()
-	if err := stored.Save(*out); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %d XML documents and schema.dtd to %s\n", stored.Len(), *out)
-	return finish()
-}
-
-// buildSharded is cmdBuild's disk-backed path (-shards / -store disk): the
-// sharded driver converts and maps through per-shard disk segments and the
-// final repository lives in shard-dir/final as a disk store.
-func buildSharded(p *core.Pipeline, srcs []core.Source, shards int, dir string, maxResident int, out string, coll *obs.Collector, traced bool, w io.Writer, finish func() error) error {
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "webrev-shards-")
-		if err != nil {
-			return err
-		}
-		dir = tmp
-	}
-	res, err := p.BuildSharded(context.Background(), srcs, core.ShardOptions{
-		Shards: shards,
-		Dir:    dir,
-		Store:  repository.DiskOptions{MaxResidentDocs: maxResident},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "sharded build: %d documents in %d shards; DTD %d elements; %d bytes on disk\n",
-		res.Repo.Len(), shards, res.DTD.Len(), res.BytesOnDisk)
-	if len(res.Quarantined) > 0 || len(res.Degraded) > 0 {
-		fmt.Fprintf(w, "%d quarantined, %d degraded\n", len(res.Quarantined), len(res.Degraded))
-	}
-	if traced {
-		fmt.Fprint(w, coll.Snapshot().Summary())
-	}
-	fmt.Fprint(w, res.DTD.Render())
-	fmt.Fprintf(w, "disk repository at %s\n", filepath.Join(dir, "final"))
-	if out != "" {
-		if err := res.Repo.Save(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %d XML documents and schema.dtd to %s\n", res.Repo.Len(), out)
-	}
-	return finish()
-}
-
 func cmdQuery(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	dir := fs.String("repo", "", "repository `DIR`, as build -out or watch -out writes it or a sharded build leaves it in -shard-dir WORK/final")
+	dir := fs.String("repo", "", "repository `DIR`, as build -out or watch -out writes it or build leaves it in -dir WORK/final")
 	fs.Parse(args)
 	if *dir == "" || fs.NArg() != 1 {
 		return fmt.Errorf("usage: webrev query -repo DIR 'EXPR'")

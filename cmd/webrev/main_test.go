@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -115,8 +116,8 @@ func TestCmdBuildAndQuery(t *testing.T) {
 }
 
 // TestCmdQueryOpensShardedBuild: `webrev query` reads the repository a
-// sharded build leaves in its shard directory's final/, and the copy
-// `-out` writes.
+// build leaves in its working directory's final/, and the copy `-out`
+// writes.
 func TestCmdQueryOpensShardedBuild(t *testing.T) {
 	dir := t.TempDir()
 	files := []string{
@@ -126,7 +127,7 @@ func TestCmdQueryOpensShardedBuild(t *testing.T) {
 	}
 	work, repoDir := filepath.Join(dir, "work"), filepath.Join(dir, "repo")
 	var out strings.Builder
-	if err := cmdBuild(append([]string{"-shards", "2", "-shard-dir", work, "-out", repoDir}, files...), &out); err != nil {
+	if err := cmdBuild(append([]string{"-shards", "2", "-dir", work, "-out", repoDir}, files...), &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, repo := range []string{filepath.Join(work, "final"), repoDir} {
@@ -138,6 +139,90 @@ func TestCmdQueryOpensShardedBuild(t *testing.T) {
 			t.Fatalf("query -repo %s output:\n%s", repo, qOut.String())
 		}
 	}
+}
+
+// TestCmdBuildSourcesAgree: the same corpus given as sorted file arguments
+// or as -corpus DIR, at one shard or three, builds a repository directory
+// byte-identical to the in-memory build's Save; a rerun over the same
+// -dir resumes to the same bytes; a generated corpus passes -verify, and
+// a build without -dir leaves no working directory behind.
+func TestCmdBuildSourcesAgree(t *testing.T) {
+	corpusDir := t.TempDir()
+	var files []string
+	var srcs []core.Source
+	for i, r := range corpus.New(corpus.Options{Seed: 5}).Corpus(7) {
+		path := filepath.Join(corpusDir, fmt.Sprintf("r-%02d.html", i))
+		if err := os.WriteFile(path, []byte(r.HTML), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, path)
+		srcs = append(srcs, core.Source{Name: path, HTML: r.HTML})
+	}
+	p, err := newPipeline("resume", 0.5, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := p.BuildRepository(srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDir := filepath.Join(t.TempDir(), "ref")
+	if err := ref.Save(refDir); err != nil {
+		t.Fatal(err)
+	}
+	want := readDir(t, refDir)
+
+	for _, shards := range []string{"1", "3"} {
+		for _, src := range [][]string{files, {"-corpus", corpusDir}} {
+			work := t.TempDir()
+			for run := 0; run < 2; run++ {
+				out := filepath.Join(t.TempDir(), "repo")
+				args := append([]string{"-shards", shards, "-dir", work, "-out", out}, src...)
+				if err := cmdBuild(args, io.Discard); err != nil {
+					t.Fatalf("build %v: %v", args, err)
+				}
+				if got := readDir(t, out); !reflect.DeepEqual(got, want) {
+					t.Fatalf("build %v (run %d): -out differs from the in-memory build's Save", args, run+1)
+				}
+			}
+		}
+	}
+
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	var out strings.Builder
+	if err := cmdBuild([]string{"-n", "20", "-seed", "1", "-verify"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "byte-identical to single-process build (20 documents)") {
+		t.Fatalf("-verify output:\n%s", out.String())
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Fatalf("build without -dir left %d entries in the temp directory", len(left))
+	}
+	for _, args := range [][]string{nil, {"-n", "2", files[0]}, {"-corpus", t.TempDir()}} {
+		if err := cmdBuild(args, io.Discard); err == nil {
+			t.Fatalf("build %v accepted", args)
+		}
+	}
+}
+
+// readDir returns every file of dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
 }
 
 func TestCmdBuildMetricsSnapshot(t *testing.T) {

@@ -14,16 +14,12 @@
 // and again while draining).
 //
 // Serve a repository directory — a disk store plus schema.dtd, as
-// `webrev build -out DIR` writes it and as a sharded build leaves it in
-// `-shard-dir WORK`/final. The directory is read strictly (every document
-// checked against its SHA-256 and the DTD) into an in-memory snapshot:
+// `webrev build -out DIR` writes it and as `webrev build -dir WORK` leaves
+// it in WORK/final. The directory is read strictly (every document checked
+// against its SHA-256 and the DTD) into an in-memory snapshot:
 //
 //	webrevd -repo DIR [-addr :8077]
 //	webrevd -repo WORK/final
-//
-// Or build one in-process from the synthetic corpus:
-//
-//	webrevd -corpus 200 [-seed 1]
 //
 // Or follow a repository directory that a continuous-operation watch loop
 // (`webrev watch -out DIR`) rewrites each cycle — webrevd polls it,
@@ -36,12 +32,15 @@
 // workload with -clients concurrent clients (swapping snapshots mid-load
 // when -swap-every is set), then an overload pass at a deliberately tiny
 // admission limit, and writes latency percentiles plus overload
-// goodput/shed rows as a BENCH_serve.json that cmd/benchdiff gates:
+// goodput/shed rows as a BENCH_serve.json that cmd/benchdiff gates. Each
+// swap reloads the directory, as follow mode does:
 //
-//	webrevd -corpus 200 -bench -clients 64 -duration 3s -swap-every 500ms -out BENCH_serve.json
+//	webrev build -n 200 -seed 1 -dir WORK
+//	webrevd -repo WORK/final -bench -clients 64 -duration 3s -swap-every 500ms -out BENCH_serve.json
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -54,9 +53,6 @@ import (
 	"syscall"
 	"time"
 
-	"webrev/internal/concept"
-	"webrev/internal/core"
-	"webrev/internal/corpus"
 	"webrev/internal/faultinject"
 	"webrev/internal/obs"
 	"webrev/internal/repository"
@@ -75,13 +71,9 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("webrevd", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", ":8077", "listen address")
-		repoDir    = fs.String("repo", "", "serve the repository in `DIR`, as webrev build -out writes it or a sharded build leaves it in WORK/final")
-		corpusN    = fs.Int("corpus", 0, "build and serve a repository from this many generated resumes")
+		repoDir    = fs.String("repo", "", "serve the repository in `DIR`, as webrev build -out writes it or webrev build -dir WORK leaves it in WORK/final")
 		followDir  = fs.String("follow", "", "follow a repository directory (e.g. `webrev watch -out DIR`): poll, validate, and swap in each good rewrite")
 		followInt  = fs.Duration("follow-interval", 2*time.Second, "follow mode poll cadence (failure backoff doubles from here)")
-		seed       = fs.Int64("seed", 1, "corpus generator seed")
-		sup        = fs.Float64("sup", 0.5, "schema support threshold for -corpus builds")
-		ratio      = fs.Float64("ratio", 0.1, "support-ratio threshold for -corpus builds")
 		maxResults = fs.Int("max-results", 1000, "cap on results rendered per query request")
 		driftFile  = fs.String("drift", "", "publish this drift report (JSON, as written by `webrev watch`) at /api/drift")
 		metricsOut = fs.String("metrics", "", "write the obs metrics snapshot to this file when the daemon drains")
@@ -108,14 +100,8 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sources := 0
-	for _, set := range []bool{*repoDir != "", *corpusN != 0, *followDir != ""} {
-		if set {
-			sources++
-		}
-	}
-	if sources != 1 {
-		return fmt.Errorf("exactly one of -repo, -corpus or -follow is required")
+	if (*repoDir == "") == (*followDir == "") {
+		return fmt.Errorf("exactly one of -repo or -follow is required")
 	}
 
 	coll := obs.NewCollector()
@@ -129,15 +115,11 @@ func run(args []string, w io.Writer) error {
 		MaxRequestTimeout: *maxReqTimeout,
 	}
 
+	// The server boots from load, except in follow mode, where the loop
+	// installs snapshots; /api/reload and bench swaps re-invoke it.
 	var repo *repository.Repository
-	load := repoSource(*repoDir, *corpusN, *seed, *sup, *ratio)
-	if *followDir != "" {
-		// Follow mode: the loop installs snapshots; /api/reload forces an
-		// immediate validated attempt against the same directory.
-		load = func() (*repository.Repository, error) {
-			return repository.Load(*followDir)
-		}
-	} else {
+	load := repoSource(cmp.Or(*repoDir, *followDir))
+	if *followDir == "" {
 		var err error
 		if repo, err = load(); err != nil {
 			return err
@@ -251,31 +233,11 @@ func loadDrift(path string) (*schema.Drift, error) {
 	return d, nil
 }
 
-// repoSource returns the loader the server boots from and /api/reload
-// re-invokes: a repository directory read, or a full corpus pipeline run.
-func repoSource(dir string, n int, seed int64, sup, ratio float64) func() (*repository.Repository, error) {
-	if dir != "" {
-		return func() (*repository.Repository, error) {
-			return repository.Load(dir)
-		}
-	}
+// repoSource returns the daemon's one loader: a strict read of the
+// repository directory dir (repository.Load).
+func repoSource(dir string) func() (*repository.Repository, error) {
 	return func() (*repository.Repository, error) {
-		p, err := core.New(core.Config{
-			Concepts:       concept.ResumeConcepts(),
-			Constraints:    concept.ResumeConstraints(),
-			RootName:       "resume",
-			SupThreshold:   sup,
-			RatioThreshold: ratio,
-		})
-		if err != nil {
-			return nil, err
-		}
-		resumes := corpus.New(corpus.Options{Seed: seed}).Corpus(n)
-		srcs := make([]core.Source, len(resumes))
-		for i, r := range resumes {
-			srcs[i] = core.Source{Name: r.Name, HTML: r.HTML}
-		}
-		return p.BuildRepository(srcs)
+		return repository.Load(dir)
 	}
 }
 

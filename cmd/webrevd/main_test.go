@@ -14,6 +14,7 @@ import (
 	"webrev/internal/core"
 	"webrev/internal/corpus"
 	"webrev/internal/obs"
+	"webrev/internal/repository"
 	"webrev/internal/schema"
 )
 
@@ -21,27 +22,62 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run(nil, io.Discard); err == nil {
 		t.Fatal("no source flags accepted")
 	}
-	if err := run([]string{"-repo", "x", "-corpus", "10"}, io.Discard); err == nil {
-		t.Fatal("both -repo and -corpus accepted")
-	}
 	if err := run([]string{"-repo", "x", "-follow", "y"}, io.Discard); err == nil {
 		t.Fatal("both -repo and -follow accepted")
-	}
-	if err := run([]string{"-corpus", "10", "-follow", "y"}, io.Discard); err == nil {
-		t.Fatal("both -corpus and -follow accepted")
 	}
 	if err := run([]string{"-badflag"}, io.Discard); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
 }
 
-func TestBenchFromCorpus(t *testing.T) {
+// testPipeline is the resume pipeline webrev build runs by default.
+func testPipeline(t *testing.T) *core.Pipeline {
+	t.Helper()
+	p, err := core.New(core.Config{
+		Concepts:       concept.ResumeConcepts(),
+		Constraints:    concept.ResumeConstraints(),
+		RootName:       "resume",
+		SupThreshold:   0.5,
+		RatioThreshold: 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// corpusSources returns n generated resumes as build sources.
+func corpusSources(n int, seed int64) []core.Source {
+	var srcs []core.Source
+	for _, r := range corpus.New(corpus.Options{Seed: seed}).Corpus(n) {
+		srcs = append(srcs, core.Source{Name: r.Name, HTML: r.HTML})
+	}
+	return srcs
+}
+
+// savedRepo builds n generated resumes in memory and saves the repository
+// into a fresh directory, which it returns with the built repository.
+func savedRepo(t *testing.T, n int, seed int64) (string, *repository.Repository) {
+	t.Helper()
+	repo, err := testPipeline(t).BuildRepository(corpusSources(n, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := repo.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	return dir, repo
+}
+
+func TestBenchFromRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench run skipped in -short")
 	}
+	dir, _ := savedRepo(t, 20, 1)
 	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
 	err := run([]string{
-		"-corpus", "20", "-bench",
+		"-repo", dir, "-bench",
 		"-clients", "4", "-duration", "300ms", "-swap-every", "100ms",
 		"-out", out,
 	}, io.Discard)
@@ -68,19 +104,11 @@ func TestBenchFromCorpus(t *testing.T) {
 }
 
 func TestRepoSourceCheckpointRoundTrip(t *testing.T) {
-	build := repoSource("", 12, 7, 0.5, 0.1)
-	repo, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir, repo := savedRepo(t, 12, 7)
 	if repo.Len() == 0 {
 		t.Fatal("corpus build produced empty repository")
 	}
-	dir := t.TempDir()
-	if err := repo.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := repoSource(dir, 0, 0, 0, 0)()
+	loaded, err := repoSource(dir)()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,20 +121,7 @@ func TestRepoSourceCheckpointRoundTrip(t *testing.T) {
 // sharded build writes, with the same names and canonical XML as the
 // in-memory build's exported repository.
 func TestRepoSourceOpensShardedBuild(t *testing.T) {
-	p, err := core.New(core.Config{
-		Concepts:       concept.ResumeConcepts(),
-		Constraints:    concept.ResumeConstraints(),
-		RootName:       "resume",
-		SupThreshold:   0.5,
-		RatioThreshold: 0.1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var srcs []core.Source
-	for _, r := range corpus.New(corpus.Options{Seed: 7}).Corpus(12) {
-		srcs = append(srcs, core.Source{Name: r.Name, HTML: r.HTML})
-	}
+	p, srcs := testPipeline(t), corpusSources(12, 7)
 	dir := t.TempDir()
 	res, err := p.BuildSharded(context.Background(), srcs, core.ShardOptions{Shards: 2, Dir: dir})
 	if err != nil {
@@ -115,11 +130,11 @@ func TestRepoSourceOpensShardedBuild(t *testing.T) {
 	if err := res.Repo.Store().Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := repoSource(filepath.Join(dir, "final"), 0, 0, 0, 0)()
+	loaded, err := repoSource(filepath.Join(dir, "final"))()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := repoSource("", 12, 7, 0.5, 0.1)()
+	want, err := p.BuildRepository(srcs)
 	if err != nil || want.Len() == 0 {
 		t.Fatalf("in-memory build: %v", err)
 	}

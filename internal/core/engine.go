@@ -45,8 +45,10 @@ import (
 var errShardKilled = errors.New("core: shard killed")
 
 // defaultCheckpointEvery is the number of documents a shard commits
-// between checkpoints when the configured interval is unset.
-const defaultCheckpointEvery = 64
+// between checkpoints when the configured interval is unset. A checkpoint
+// re-encodes the whole shard accumulator, which grows with the documents
+// folded, so the interval trades resume granularity for checkpoint cost.
+const defaultCheckpointEvery = 256
 
 // shardStateVersion guards the shard checkpoint format.
 const shardStateVersion = 1
@@ -101,10 +103,10 @@ type shard struct {
 	conv     *repository.DiskStore // disk store (dir set)
 
 	// Map-phase output: the Repository slices, or the conf/ segment.
-	out       []*Document
-	conformed []*dom.Node
-	stats     []mapping.EditStats
-	cost      int
+	out              []*Document
+	conformed        []*dom.Node
+	stats            []mapping.EditStats
+	cost, conforming int // edits spent, documents needing none
 }
 
 // build is one run of the engine.
@@ -503,6 +505,9 @@ func (p *Pipeline) mapShard(ctx context.Context, b *build, s *shard, dt *dtd.DTD
 			return nil
 		}
 		s.cost += m.st.Cost()
+		if m.st.Cost() == 0 {
+			s.conforming++
+		}
 		if b.disk {
 			xml := xmlout.Marshal(m.out)
 			p.tr.Add(obs.CtrBytesOut, int64(len(xml)))

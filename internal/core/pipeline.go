@@ -89,7 +89,7 @@ type Config struct {
 	// they carry their converted XML but zero conversion Stats.
 	CheckpointDir string
 	// CheckpointEvery is the number of documents committed between
-	// checkpoints (default 64). Only meaningful with CheckpointDir.
+	// checkpoints (default 256). Only meaningful with CheckpointDir.
 	CheckpointEvery int
 	// Inject, when non-nil, fires deterministic faults (panics, delays,
 	// errors) into the per-document convert and map stages — the chaos

@@ -46,7 +46,7 @@ type ShardOptions struct {
 	// holds the resulting disk-backed repository.
 	Dir string
 	// CheckpointEvery is the number of documents a shard processes between
-	// durable checkpoints (default 64).
+	// durable checkpoints (default 256).
 	CheckpointEvery int
 	// Store configures the final repository's disk store — in particular
 	// MaxResidentDocs, the decoded-DOM cache bound that keeps query-time
@@ -79,6 +79,9 @@ type ShardResult struct {
 	TotalInput int
 	// TotalMapCost sums the edit operations conformance mapping spent.
 	TotalMapCost int
+	// Conforming counts the stored documents whose mapping cost was 0:
+	// they conformed to the DTD before mapping.
+	Conforming int
 	// BytesOnDisk is the final store's disk footprint (segment + index).
 	BytesOnDisk int64
 }
@@ -142,6 +145,7 @@ func (p *Pipeline) BuildShardedFrom(ctx context.Context, n int, at func(i int) (
 		Degraded: repo.Degraded, TotalInput: repo.TotalInput}
 	for _, s := range shards {
 		res.TotalMapCost += s.cost
+		res.Conforming += s.conforming
 	}
 
 	// Concatenate the conformed segments, in shard order, into the final

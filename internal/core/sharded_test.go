@@ -314,3 +314,39 @@ func TestBuildShardedLazySources(t *testing.T) {
 		t.Fatalf("provider called %d times, want %d", calls, len(sources))
 	}
 }
+
+// TestBuildShardedConformanceCounts: a sharded build reports the same
+// total mapping cost and the same count of documents that conformed
+// before mapping as the in-memory build of the same sources.
+func TestBuildShardedConformanceCounts(t *testing.T) {
+	const (
+		one = `<html><body>Jane Doe<h2>Skills</h2><p>Java</p></body></html>`
+		two = `<html><body>John Roe<h2>Skills</h2><p>Java, SQL</p></body></html>`
+	)
+	var sources []Source
+	for i, html := range []string{one, one, two, one, two, one, one} {
+		sources = append(sources, Source{Name: fmt.Sprintf("doc-%d", i), HTML: html})
+	}
+	mem, err := resumePipeline(t).Build(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conforming := 0
+	for _, st := range mem.MapStats {
+		if st.Cost() == 0 {
+			conforming++
+		}
+	}
+	if conforming == 0 || conforming == len(sources) {
+		t.Fatalf("fixture: %d of %d documents conform before mapping, want a mix", conforming, len(sources))
+	}
+	res, err := resumePipeline(t).BuildSharded(context.Background(), sources, ShardOptions{Shards: 3, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Repo.Store().Close()
+	if res.Conforming != conforming || res.TotalMapCost != mem.TotalMapCost() {
+		t.Fatalf("sharded: %d conforming, cost %d; in-memory: %d conforming, cost %d",
+			res.Conforming, res.TotalMapCost, conforming, mem.TotalMapCost())
+	}
+}

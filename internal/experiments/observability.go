@@ -16,8 +16,9 @@ import (
 
 // StageMetricsResult is one fully instrumented end-to-end build: per-stage
 // timings and the evaluation counters, ready for the human-readable
-// summary (Report) or the machine-readable snapshot (Snapshot, the
-// BENCH_pipeline.json payload).
+// summary (Report) or the machine-readable snapshot (Snapshot, what
+// -metrics FILE writes; per-layer benchmark numbers come from
+// `bash perfbench/run.sh --trace 1`).
 type StageMetricsResult struct {
 	Docs     int
 	Repo     *core.Repository

@@ -53,7 +53,8 @@ type StreamComparisonResult struct {
 	PeakInFlight int64
 	Shards       int64
 	// Snapshot is the streaming run's full stage profile plus the e9.*
-	// wall-clock entries (the BENCH_stream.json payload).
+	// wall-clock entries (what -metrics FILE writes; per-layer benchmark
+	// numbers come from `bash perfbench/run.sh --trace 1`).
 	Snapshot *obs.Snapshot
 }
 

@@ -11,8 +11,9 @@
 // returns the recording implementation: a mutex-protected registry of stage
 // timings and counters that any number of goroutines may feed concurrently.
 // Snapshot freezes a Collector into a serializable value with a JSON writer
-// (the BENCH_pipeline.json format), a human-readable summary table, and an
-// expvar/pprof debug endpoint (see ServeDebug).
+// (the -metrics FILE format), a human-readable summary table, and an
+// expvar/pprof debug endpoint (see ServeDebug). Per-layer benchmark numbers
+// come from `bash perfbench/run.sh --trace 1`.
 //
 // Stage and counter names are declared here as constants so producers
 // (core, convert, schema, mapping, crawler) and consumers (CLIs, the

@@ -11,8 +11,9 @@ import (
 )
 
 // Snapshot is a frozen, serializable view of a Collector — the
-// machine-readable metrics format (BENCH_pipeline.json) and the source of
-// the human-readable stage summary.
+// machine-readable metrics format that -metrics FILE writes and the source
+// of the human-readable stage summary. Per-layer benchmark numbers come
+// from `bash perfbench/run.sh --trace 1`.
 type Snapshot struct {
 	Meta     *Meta                 `json:"meta,omitempty"`
 	Stages   map[string]StageStats `json:"stages"`

@@ -51,7 +51,6 @@ type DiskStore struct {
 	tr  obs.Tracer
 
 	maxResident int
-	dedupeCap   int
 
 	mu      sync.Mutex
 	idx     *os.File    // index.log, append handle; nil when read-only
@@ -85,12 +84,6 @@ type DiskOptions struct {
 	// used. 0 selects DefaultMaxResidentDocs; negative disables caching
 	// entirely (every Doc read decodes from disk).
 	MaxResidentDocs int
-	// DedupeCap bounds the in-memory content-address map. Once the store
-	// holds this many distinct blobs, new unique content is still stored
-	// but no longer joins the map (so later identical appends of it write
-	// their own bytes). 0 selects DefaultDedupeCap. The bound keeps writer
-	// memory independent of corpus size.
-	DedupeCap int
 	// Tracer records the store.hits / store.misses / store.evictions /
 	// store.deduped counters. Nil means the no-op tracer.
 	Tracer obs.Tracer
@@ -100,9 +93,11 @@ type DiskOptions struct {
 // DiskOptions.MaxResidentDocs is 0.
 const DefaultMaxResidentDocs = 256
 
-// DefaultDedupeCap is the content-address map bound when
-// DiskOptions.DedupeCap is 0.
-const DefaultDedupeCap = 1 << 20
+// dedupeCap bounds the in-memory content-address map. Once the store
+// holds this many distinct blobs, new unique content is still stored but
+// no longer joins the map (so later identical appends of it write their
+// own bytes). The bound keeps writer memory independent of corpus size.
+const dedupeCap = 1 << 20
 
 const (
 	diskIndexFile   = "index.log"
@@ -239,7 +234,7 @@ func (s *DiskStore) truncate(n, idxLen int) error {
 	s.dedupe = make(map[[sha256.Size]byte]blobRef)
 	for _, e := range s.entries {
 		s.segSize = max(s.segSize, e.off+int64(e.n))
-		if _, ok := s.dedupe[e.sum]; !ok && len(s.dedupe) < s.dedupeCap {
+		if _, ok := s.dedupe[e.sum]; !ok && len(s.dedupe) < dedupeCap {
 			s.dedupe[e.sum] = blobRef{off: e.off, n: e.n}
 		}
 	}
@@ -270,15 +265,10 @@ func newDiskStore(dir string, seg *os.File, opts DiskOptions) *DiskStore {
 	if maxResident == 0 {
 		maxResident = DefaultMaxResidentDocs
 	}
-	dedupeCap := opts.DedupeCap
-	if dedupeCap <= 0 {
-		dedupeCap = DefaultDedupeCap
-	}
 	return &DiskStore{
 		dir:         dir,
 		tr:          obs.OrNop(opts.Tracer),
 		maxResident: maxResident,
-		dedupeCap:   dedupeCap,
 		seg:         seg,
 		dedupe:      make(map[[sha256.Size]byte]blobRef),
 		lru:         lruCache{byIdx: make(map[int]*list.Element)},
@@ -324,7 +314,7 @@ func (s *DiskStore) AppendXML(name string, xml []byte) error {
 		}
 		ref = blobRef{off: s.segSize, n: int32(len(xml))}
 		s.segSize += int64(len(xml))
-		if len(s.dedupe) < s.dedupeCap {
+		if len(s.dedupe) < dedupeCap {
 			s.dedupe[sum] = ref
 		}
 	} else if s.tr.Enabled() {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"webrev/internal/dom"
 	"webrev/internal/dtd"
@@ -140,14 +141,26 @@ const dtdFile = "schema.dtd"
 
 // Save writes the repository to dir in the one repository directory
 // format: a disk store (segment.blob + index.log) plus schema.dtd, which
-// Load and LoadDisk open. Each file is written under a temporary name and
-// renamed into place, index.log last, so Save never rewrites a file in
-// place — a store already open on dir keeps reading the files it opened —
-// and touches no other file in dir. Documents are copied out as their
-// canonical XML bytes, so saving a disk-backed repository never decodes
-// them.
+// Load and LoadDisk open. Each file is written into a temporary .save-*
+// directory inside dir and renamed into place, index.log last, so Save
+// never rewrites a file in place — a store already open on dir keeps
+// reading the files it opened — and touches no other file in dir.
+// Documents are copied out as their canonical XML bytes, so saving a
+// disk-backed repository never decodes them.
+//
+// A directory has one writer. Save first removes the .save-* entries
+// that a killed Save left in dir, then creates its own.
 func (r *Repository) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	entries, err := os.ReadDir(dir)
+	for _, e := range entries {
+		if err == nil && strings.HasPrefix(e.Name(), ".save-") {
+			err = os.RemoveAll(filepath.Join(dir, e.Name()))
+		}
+	}
+	if err != nil {
 		return err
 	}
 	tmp, err := os.MkdirTemp(dir, ".save-")

@@ -203,6 +203,40 @@ func TestSaveWritesOnlyTheStore(t *testing.T) {
 	}
 }
 
+// TestSaveRemovesStaleTemp: a Save killed mid-write leaves its .save-*
+// directory, a full copy of the repository, behind; the next Save removes
+// it and changes no other file.
+func TestSaveRemovesStaleTemp(t *testing.T) {
+	dir := t.TempDir()
+	r := repoOf(t, "doc", 3)
+	if err := r.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("not the store's"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, dir)
+	stale := filepath.Join(dir, ".save-x")
+	if err := os.Mkdir(stale, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stale, "segment.blob"), []byte("a killed Save's copy"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("%s survived Save (stat: %v)", stale, err)
+	}
+	if _, err := Load(dir); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dirBytes(t, dir), before) {
+		t.Fatal("Save changed a file other than the stale temporary directory")
+	}
+}
+
 // repoOf returns a repository of n conforming documents named prefix-i.
 func repoOf(t testing.TB, prefix string, n int) *Repository {
 	t.Helper()

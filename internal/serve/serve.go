@@ -43,7 +43,6 @@ import (
 	"webrev/internal/query"
 	"webrev/internal/repository"
 	"webrev/internal/schema"
-	"webrev/internal/xmlout"
 )
 
 // maxQueryLen bounds the accepted query-expression length; longer
@@ -79,7 +78,14 @@ func (ix *Index) Frozen() *pathindex.Frozen { return ix.frozen }
 // server (e.g. the bench harness's overload pass).
 func (ix *Index) Repo() *repository.Repository { return ix.repo }
 
-func newIndex(gen uint64, repo *repository.Repository, resultCap int) *Index {
+// Cache bounds: the compiled-query cache survives snapshot swaps; each
+// snapshot's rendered-response cache is invalidated wholesale by a swap.
+const (
+	queryCacheSize  = 1024
+	resultCacheSize = 4096
+)
+
+func newIndex(gen uint64, repo *repository.Repository) *Index {
 	names := repo.Names()
 	byName := make(map[string]int, len(names))
 	for i, n := range names {
@@ -92,7 +98,7 @@ func newIndex(gen uint64, repo *repository.Repository, resultCap int) *Index {
 		byName:  byName,
 		frozen:  repo.Index().Freeze(),
 		dtdText: repo.DTD().Render(),
-		results: memo.New[[]byte](resultCap),
+		results: memo.New[[]byte](resultCacheSize),
 	}
 }
 
@@ -102,12 +108,6 @@ type Options struct {
 	// Tracer records serve-stage spans and counters; nil means the no-op
 	// tracer.
 	Tracer obs.Tracer
-	// QueryCacheSize bounds the compiled-query cache (default 1024; the
-	// cache survives snapshot swaps).
-	QueryCacheSize int
-	// ResultCacheSize bounds each snapshot's rendered-response cache
-	// (default 4096; invalidated wholesale by a swap).
-	ResultCacheSize int
 	// MaxResults caps the matches rendered for one query request; Count
 	// remains exact beyond it (default 1000).
 	MaxResults int
@@ -145,12 +145,6 @@ type Options struct {
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.QueryCacheSize == 0 {
-		out.QueryCacheSize = 1024
-	}
-	if out.ResultCacheSize == 0 {
-		out.ResultCacheSize = 4096
-	}
 	if out.MaxResults <= 0 {
 		out.MaxResults = 1000
 	}
@@ -229,7 +223,7 @@ const panicLogCap = 8
 func NewServer(repo *repository.Repository, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		queries: memo.New[*query.Query](opts.QueryCacheSize),
+		queries: memo.New[*query.Query](queryCacheSize),
 		tr:      obs.OrNop(opts.Tracer),
 		opts:    opts,
 		hist:    make(map[string]*obs.Histogram, len(endpointNames)),
@@ -281,7 +275,7 @@ func (s *Server) handleDrift(w http.ResponseWriter, _ *http.Request) {
 // install builds the next-generation snapshot and publishes it.
 func (s *Server) install(repo *repository.Repository) uint64 {
 	gen := s.gen.Add(1)
-	ix := newIndex(gen, repo, s.opts.ResultCacheSize)
+	ix := newIndex(gen, repo)
 	s.cur.Store(ix)
 	s.swaps.Add(1)
 	if s.tr.Enabled() {
@@ -873,9 +867,16 @@ func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "missing name or i parameter")
 		return
 	}
+	// The store's canonical bytes are exactly xmlout.Marshal of the tree,
+	// so a disk-backed snapshot serves them without a decode.
+	xml, err := ix.repo.Store().XML(i)
+	if err != nil {
+		s.httpError(w, http.StatusInternalServerError, "document %d: %v", i, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/xml")
 	w.Header().Set("X-Webrev-Doc", ix.names[i])
-	fmt.Fprint(w, xmlout.Marshal(ix.repo.Doc(i)))
+	w.Write(xml)
 }
 
 func (s *Server) handleDTD(w http.ResponseWriter, _ *http.Request) {

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +19,7 @@ import (
 	"webrev/internal/dtd"
 	"webrev/internal/repository"
 	"webrev/internal/schema"
+	"webrev/internal/xmlout"
 )
 
 func el(tag string, children ...*dom.Node) *dom.Node {
@@ -210,6 +213,45 @@ func TestDocAndSchemaEndpoints(t *testing.T) {
 		if p.Docs != 3 {
 			t.Errorf("path %s docs = %d, want 3", p.Path, p.Docs)
 		}
+	}
+}
+
+// TestDocReadErrorIs500: /api/doc serves the store's canonical bytes, and
+// a disk-backed snapshot whose segment can no longer be read answers with
+// a 500 carrying the store's error instead of a handler panic.
+func TestDocReadErrorIs500(t *testing.T) {
+	dir := t.TempDir()
+	if err := testRepo(t, 3, 0).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	repo, err := repository.LoadDisk(dir, repository.DiskOptions{MaxResidentDocs: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Store().Close()
+	s := NewServer(repo, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/api/doc?i=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readAll(t, resp); resp.StatusCode != 200 || body != xmlout.Marshal(testDoc(1)) {
+		t.Fatalf("healthy fetch: status %d body %q", resp.StatusCode, body)
+	}
+	if err := os.Truncate(filepath.Join(dir, "segment.blob"), 0); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(ts.URL + "/api/doc?i=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readAll(t, resp); resp.StatusCode != http.StatusInternalServerError || !strings.Contains(body, "disk store read") {
+		t.Fatalf("unreadable document: status %d body %q", resp.StatusCode, body)
+	}
+	if st := s.Stats(); st.Panics != 0 || st.Errors != 1 {
+		t.Fatalf("panics=%d errors=%d, want 0 and 1", st.Panics, st.Errors)
 	}
 }
 
