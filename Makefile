@@ -37,8 +37,12 @@ build:
 test:
 	$(GO) test ./...
 
+# Vet, plus a formatting gate: any tracked Go file gofmt would rewrite
+# fails the target (and with it CI's ci-test leg).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # The crawler's worker pool, retry/backoff machinery, parallel document
 # mapping, and fault-injection middleware are concurrency-heavy; they must
@@ -47,9 +51,10 @@ race:
 	$(GO) test -race ./...
 
 # Native fuzz targets: the parser, the cleaner and the full converter must
-# accept arbitrary bytes without panicking; the tree-edit-distance memo and
-# the parallel path miner must additionally stay equivalent to their naive
-# and serial references on arbitrary inputs; fold/subtract interleavings
+# accept arbitrary bytes without panicking; the tree-edit-distance memo
+# must additionally stay equivalent to its naive reference, and merged
+# per-shard path accumulators to the serial fold, on arbitrary inputs;
+# fold/subtract interleavings
 # over the delta accumulator must exactly invert; opening a repository
 # directory from arbitrary index.log and segment.blob bytes must never
 # panic, and reading it must never write. Go allows one -fuzz target per
@@ -79,10 +84,10 @@ bench-convert:
 	$(GO) run ./cmd/benchdiff -parse -out BENCH_convert.json /tmp/bench_convert.txt
 
 # Mapping/mining hot-path snapshot: the memoized tree-edit distance, the
-# compiled conformance pass, and the sharded path miner. Written as
+# compiled conformance pass, and the path miner. Written as
 # BENCH_map.json (same benchdiff shape as BENCH_convert.json) and gated in
 # the CI bench-regression job at the 15% threshold.
-MAP_BENCH = 'BenchmarkTreeDistance|BenchmarkConform|BenchmarkDiscover|BenchmarkMineParallel'
+MAP_BENCH = 'BenchmarkTreeDistance|BenchmarkConform|BenchmarkDiscover'
 bench-map:
 	$(GO) test -run '^$$' -bench $(MAP_BENCH) -benchmem -count 3 \
 		./internal/mapping/ ./internal/schema/ | tee /tmp/bench_map.txt

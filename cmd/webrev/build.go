@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,6 +55,9 @@ func cmdBuild(args []string, w io.Writer) error {
 	metricsOut, pprofAddr := obsFlags(fs)
 	fs.Parse(args)
 
+	if *shards < 1 {
+		return fmt.Errorf("%s: -shards must be at least 1", buildUsage)
+	}
 	total, at, err := buildSources(fs.Args(), *corpusDir, *n, *seed)
 	if err != nil {
 		return err
@@ -131,6 +135,8 @@ func cmdBuild(args []string, w io.Writer) error {
 	return finish()
 }
 
+const buildUsage = "usage: webrev build [flags] (file.html... | -corpus DIR | -n N [-seed S])"
+
 // buildSources resolves build's lazy source provider from exactly one of:
 // the file arguments, in the order given; the .html files of corpusDir,
 // sorted by name; or n synthetic resumes. Synthetic resumes are seeded per
@@ -145,7 +151,7 @@ func buildSources(files []string, corpusDir string, n int, seed int64) (int, fun
 		}
 	}
 	if set != 1 {
-		return 0, nil, fmt.Errorf("usage: webrev build [flags] (file.html... | -corpus DIR | -n N [-seed S])")
+		return 0, nil, errors.New(buildUsage)
 	}
 	if corpusDir != "" {
 		var err error

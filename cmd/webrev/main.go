@@ -331,12 +331,12 @@ func cmdQuarantine(args []string, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			d, rec := p.TryConvert(e.Record.URL, html)
+			d, degraded, failed := p.ConvertSource(core.Source{Name: e.Record.URL, HTML: html})
 			switch {
-			case d == nil:
-				fmt.Fprintf(w, "%-20s still failing: %s\n", e.ID, rec)
-			case rec != nil:
-				fmt.Fprintf(w, "%-20s degraded: %s\n", e.ID, rec.Err)
+			case failed != nil:
+				fmt.Fprintf(w, "%-20s still failing: %s\n", e.ID, failed)
+			case degraded != nil:
+				fmt.Fprintf(w, "%-20s degraded: %s\n", e.ID, degraded.Err)
 			default:
 				fixed++
 				fmt.Fprintf(w, "%-20s ok (%d tokens, %.0f%% identified)\n",

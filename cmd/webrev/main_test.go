@@ -200,7 +200,8 @@ func TestCmdBuildSourcesAgree(t *testing.T) {
 	if left, _ := os.ReadDir(tmp); len(left) != 0 {
 		t.Fatalf("build without -dir left %d entries in the temp directory", len(left))
 	}
-	for _, args := range [][]string{nil, {"-n", "2", files[0]}, {"-corpus", t.TempDir()}} {
+	for _, args := range [][]string{nil, {"-n", "2", files[0]}, {"-corpus", t.TempDir()},
+		{"-shards", "0", "-n", "2"}, {"-shards", "-1", "-n", "2"}} {
 		if err := cmdBuild(args, io.Discard); err == nil {
 			t.Fatalf("build %v accepted", args)
 		}

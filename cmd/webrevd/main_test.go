@@ -123,7 +123,9 @@ func TestRepoSourceCheckpointRoundTrip(t *testing.T) {
 func TestRepoSourceOpensShardedBuild(t *testing.T) {
 	p, srcs := testPipeline(t), corpusSources(12, 7)
 	dir := t.TempDir()
-	res, err := p.BuildSharded(context.Background(), srcs, core.ShardOptions{Shards: 2, Dir: dir})
+	res, err := p.BuildShardedFrom(context.Background(), len(srcs), func(i int) (core.Source, error) {
+		return srcs[i], nil
+	}, core.ShardOptions{Shards: 2, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

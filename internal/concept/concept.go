@@ -268,16 +268,6 @@ func foldText(text string) (string, []int) {
 	return b.String(), off
 }
 
-// First returns the first (leftmost, longest-preferred) match in text, or a
-// zero Match and false.
-func (s *Set) First(text string) (Match, bool) {
-	ms := s.FindAll(text)
-	if len(ms) == 0 {
-		return Match{}, false
-	}
-	return ms[0], true
-}
-
 func anyClaimed(claimed []bool, start, end int) bool {
 	for k := start; k < end; k++ {
 		if claimed[k] {

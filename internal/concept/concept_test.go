@@ -71,10 +71,10 @@ func TestFindAllPaperSentence(t *testing.T) {
 
 func TestFindAllCaseInsensitive(t *testing.T) {
 	s := testSet(t)
-	if _, ok := s.First("UNIVERSITY of somewhere"); !ok {
+	if ms := s.FindAll("UNIVERSITY of somewhere"); len(ms) == 0 {
 		t.Fatal("uppercase not matched")
 	}
-	if _, ok := s.First("university"); !ok {
+	if ms := s.FindAll("university"); len(ms) == 0 {
 		t.Fatal("lowercase not matched")
 	}
 }
@@ -110,8 +110,8 @@ func TestFindAllConceptNameItself(t *testing.T) {
 
 func TestFirstNoMatch(t *testing.T) {
 	s := testSet(t)
-	if _, ok := s.First("nothing relevant here"); ok {
-		t.Fatal("unexpected match")
+	if ms := s.FindAll("nothing relevant here"); len(ms) != 0 {
+		t.Fatalf("unexpected match: %+v", ms)
 	}
 }
 

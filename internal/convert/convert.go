@@ -140,11 +140,6 @@ type Limits struct {
 	MaxTokens int
 }
 
-// active reports whether any limit is set.
-func (l Limits) active() bool {
-	return l.MaxDOMNodes > 0 || l.MaxDepth > 0 || l.MaxTokens > 0
-}
-
 // Stats reports conversion measurements, including the identified /
 // unidentifiable token ratio the paper recommends as user feedback (§2.3.1).
 type Stats struct {

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -322,7 +322,6 @@ func TestBuildStreamCheckpointResume(t *testing.T) {
 	newPipeline := func(tr obs.Tracer) *Pipeline {
 		cfg := streamConfig(tr, 4, 8)
 		cfg.CheckpointDir = dir
-		cfg.CheckpointEvery = 5
 		p, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -400,7 +399,6 @@ func TestBuildStreamCheckpointWithFaults(t *testing.T) {
 	newPipeline := func(inject *faultinject.Stage) *Pipeline {
 		cfg := chaosConfig(inject, nil)
 		cfg.CheckpointDir = dir
-		cfg.CheckpointEvery = 4
 		p, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

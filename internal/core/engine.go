@@ -21,7 +21,7 @@ import (
 )
 
 // The build engine. Every build — Build, BuildStream, BuildFromStats and
-// BuildSharded alike — runs as one or more shards followed by one shared
+// BuildShardedFrom alike — runs as one or more shards followed by one shared
 // tail. A shard is one ordered run of sources: an index range of a source
 // provider, or the input channel. Its convert phase runs the sources
 // through the ordered pool (runOrdered): workers convert each document and
@@ -34,14 +34,14 @@ import (
 //
 // The tail merges the shard accumulators (obs.StageMerge), mines the
 // majority schema, derives the DTD, and runs one map phase per shard
-// through the same pool, emitting in order into the Repository slices (and
-// the stream sink) or into the shard's conf/ segment. The accumulator
-// merge is exactly commutative and contiguous shards keep global order, so
-// every shard split produces byte-identical output.
+// through the same pool, emitting in order into the Repository slices or
+// into the shard's conf/ segment. The accumulator merge is exactly
+// commutative and contiguous shards keep global order, so every shard
+// split produces byte-identical output.
 
 // errShardKilled reports that the crash-injection hook stopped a shard
 // mid-build; the shard's durable state is at its last checkpoint and a new
-// BuildSharded over the same directory resumes it.
+// BuildShardedFrom over the same directory resumes it.
 var errShardKilled = errors.New("core: shard killed")
 
 // defaultCheckpointEvery is the number of documents a shard commits
@@ -115,12 +115,9 @@ type build struct {
 	workers int // ordered-pool workers per shard
 	limit   int // documents in flight per shard
 	every   int // documents between checkpoints (0: default)
-	// disk maps every shard into its conf/ segment, dropping degraded
-	// documents the DTD rejects (the Export rule), instead of into the
+	// disk maps every shard into its conf/ segment instead of into the
 	// Repository slices.
-	disk bool
-	// emit, when set, receives each mapped document in order.
-	emit  func(d *Document, conformed *dom.Node, st mapping.EditStats)
+	disk  bool
 	kill  func(shard, done int) bool // ShardOptions' crash-injection hook
 	store *QuarantineStore           // Config.QuarantineDir, when set
 }
@@ -213,7 +210,6 @@ func (p *Pipeline) run(ctx context.Context, b *build) (*Repository, error) {
 	if err := p.settle(b, repo); err != nil {
 		return repo, err
 	}
-	repo.Stages = obs.StagesOf(p.tr)
 	return repo, nil
 }
 
@@ -463,7 +459,7 @@ func (p *Pipeline) checkpoint(s *shard) error {
 
 // mapShard is a shard's map phase: every stored document is conformed to
 // dt inside the fault boundary and emitted in order — into the shard's
-// output slices (and b.emit), or, for disk builds, into the conf/ segment.
+// output slices, or, for disk builds, into the conf/ segment.
 // A map-stage failure quarantines the document.
 func (p *Pipeline) mapShard(ctx context.Context, b *build, s *shard, dt *dtd.DTD) error {
 	sp := p.span(b, obs.StageShardMap, s)
@@ -492,16 +488,11 @@ func (p *Pipeline) mapShard(ctx context.Context, b *build, s *shard, dt *dtd.DTD
 		return &Document{Source: s.conv.Name(i - 1), XML: root}, true, nil
 	}
 	work := func(d *Document) result {
-		out, st, degraded, failed := p.conformGuarded(d, dt)
-		return result{doc: d, out: out, st: st, degraded: degraded, failed: failed}
+		out, st, failed := p.conformGuarded(d, dt)
+		return result{doc: d, out: out, st: st, failed: failed}
 	}
 	commit := func(m result) error {
 		if !b.record(s, m) {
-			return nil
-		}
-		if m.degraded != nil && b.disk && len(dt.Validate(m.out)) > 0 {
-			// Identity-mapped over the cost ceiling and still
-			// non-conforming: dropped, as in Repository.Export.
 			return nil
 		}
 		s.cost += m.st.Cost()
@@ -519,9 +510,6 @@ func (p *Pipeline) mapShard(ctx context.Context, b *build, s *shard, dt *dtd.DTD
 		s.out = append(s.out, m.doc)
 		s.conformed = append(s.conformed, m.out)
 		s.stats = append(s.stats, m.st)
-		if b.emit != nil {
-			b.emit(m.doc, m.out, m.st)
-		}
 		return nil
 	}
 	err := runOrdered(ctx, b.workers, b.limit, pull, work, commit)

@@ -6,36 +6,48 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
-	"webrev/internal/dom"
-	"webrev/internal/mapping"
 	"webrev/internal/obs"
 )
 
-// TestBuildStreamCancelDuringMap: a sink that cancels the build's context
-// on its first delivery stops the deliveries, and the build reports the
-// cancellation instead of succeeding.
+// cancelOnMap is a tracer that cancels its build's context when the first
+// document's mapping starts, and counts the mappings started.
+type cancelOnMap struct {
+	obs.Tracer
+	cancel context.CancelFunc
+	maps   atomic.Int64
+}
+
+func (c *cancelOnMap) StartSpan(name string) obs.Span {
+	if name == obs.StageMap && c.maps.Add(1) == 1 {
+		c.cancel()
+	}
+	return c.Tracer.StartSpan(name)
+}
+
+// TestBuildStreamCancelDuringMap: a context cancelled while the first
+// document is being mapped stops the map phase, and the build reports the
+// cancellation instead of a repository. No document commits before the
+// first mapping starts, so at most MaxInFlight documents were pulled into
+// the pool by then, and none is pulled after it.
 func TestBuildStreamCancelDuringMap(t *testing.T) {
+	const docs, maxInFlight = 30, 8
 	for _, parallelism := range []int{1, 4} {
-		p, err := New(streamConfig(nil, parallelism, 8))
+		ctx, cancel := context.WithCancel(context.Background())
+		tr := &cancelOnMap{Tracer: obs.Nop(), cancel: cancel}
+		p, err := New(streamConfig(tr, parallelism, maxInFlight))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		calls := 0
-		_, err = p.BuildStreamTo(ctx, SourceChan(streamSources(30, 7)),
-			func(*Document, *dom.Node, mapping.EditStats) error {
-				calls++
-				cancel()
-				return nil
-			})
+		repo, err := p.BuildStream(ctx, SourceChan(streamSources(docs, 7)))
 		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallelism=%d: err = %v, want context.Canceled", parallelism, err)
+		if !errors.Is(err, context.Canceled) || repo != nil {
+			t.Fatalf("parallelism=%d: got repo %v, err %v; want nil, context.Canceled", parallelism, repo != nil, err)
 		}
-		if calls != 1 {
-			t.Fatalf("parallelism=%d: sink called %d times after cancelling on the first", parallelism, calls)
+		if n := tr.maps.Load(); n > maxInFlight {
+			t.Fatalf("parallelism=%d: mapped %d documents after cancelling on the first", parallelism, n)
 		}
 	}
 }
@@ -69,7 +81,7 @@ func TestShardCheckpointStrict(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		opts := ShardOptions{Shards: 1, Dir: dir, CheckpointEvery: 5}
-		res, err := resumePipeline(t).BuildSharded(context.Background(), sources, opts)
+		res, err := resumePipeline(t).BuildShardedFrom(context.Background(), len(sources), sourceAt(sources), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +104,7 @@ func TestShardCheckpointStrict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err = p.BuildSharded(context.Background(), sources, opts)
+		res, err = p.BuildShardedFrom(context.Background(), len(sources), sourceAt(sources), opts)
 		if tc.wantErr {
 			if err == nil {
 				res.Repo.Store().Close()

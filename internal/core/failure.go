@@ -27,16 +27,15 @@ const (
 	// test).
 	FailError FailureKind = "error"
 	// FailLimit: a resource limit degraded the document (truncated
-	// conversion, identity mapping over the edit-cost ceiling). Limit
-	// records accompany documents that are kept, not quarantined.
+	// conversion). Limit records accompany documents that are kept, not
+	// quarantined.
 	FailLimit FailureKind = "limit"
 )
 
 // FailureRecord describes one per-document failure: which stage, which
 // document, and why. Records for quarantined documents (the document was
 // dropped) land on Repository.Quarantined; records for degraded documents
-// (kept, but truncated or identity-mapped by a resource limit) land on
-// Repository.Degraded.
+// (kept, but truncated by a resource limit) land on Repository.Degraded.
 type FailureRecord struct {
 	// Stage is the obs stage name where the failure happened
 	// (obs.StageConvert, obs.StageMap).
@@ -75,10 +74,6 @@ type Limits struct {
 	// worker goroutine is left to finish and be discarded) and
 	// quarantined.
 	DocTimeout time.Duration
-	// MaxMapCost is the conformance-mapping edit-cost ceiling: a document
-	// whose mapping needs more than this many edit operations is kept
-	// identity-mapped (unmodified) instead, and counted as degraded.
-	MaxMapCost int
 }
 
 // runGuarded executes fn as one isolated per-document unit of work: a
@@ -139,7 +134,7 @@ func recoverWrap(stage, source string, fn func() error) (rec *FailureRecord) {
 // plus the stable id under which the document's original HTML is kept for
 // replay.
 type QuarantinedDoc struct {
-	// ID is the stable entry id, derived from the URL and failure time.
+	// ID is the stable entry id, a hash of the document's URL.
 	ID string
 	// Record is the failure that sent the document here.
 	Record FailureRecord

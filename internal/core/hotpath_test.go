@@ -11,29 +11,35 @@ import (
 )
 
 // TestDiscoverSchemaShardInvariance is the golden-determinism proof at the
-// pipeline seam: the parallel miner's sharded fold must produce a schema —
-// and a derived DTD rendering — byte-identical to the serial fold
-// DiscoverSchema runs over the same converted documents.
+// pipeline seam: folding contiguous shard ranges into separate
+// accumulators, merging them and mining the result through MineStats — the
+// split every sharded build makes — must produce a schema, and a derived
+// DTD rendering, byte-identical to the serial fold of DiscoverSchema.
 func TestDiscoverSchemaShardInvariance(t *testing.T) {
 	p := tracedPipeline(t, nil, 0)
 	docs := p.ConvertAll(corpusSources(t, 16, 12345))
-
-	paths := make([]*schema.DocPaths, len(docs))
-	for i, d := range docs {
-		paths[i] = p.ExtractPaths(d)
-	}
-	m := p.miner()
-	m.Shards = 8
-	parallel := p.unify(m.Discover(paths))
 	serial := p.DiscoverSchema(docs)
+	want := dtd.FromSchema(serial, p.cfg.DTD).Render()
 
-	if !reflect.DeepEqual(parallel, serial) {
-		t.Fatalf("sharded DiscoverSchema diverged from serial fold:\n%s\nvs\n%s", parallel, serial)
-	}
-	dp := dtd.FromSchema(parallel, p.cfg.DTD)
-	ds := dtd.FromSchema(serial, p.cfg.DTD)
-	if dp.Render() != ds.Render() {
-		t.Fatal("derived DTD rendering differs between sharded and serial mining")
+	for _, shards := range []int{2, 3, 8} {
+		merged := schema.NewAccumulator(0)
+		for k := 0; k < shards; k++ {
+			start, end := shardRange(len(docs), shards, k)
+			acc := schema.NewAccumulator(0)
+			for i := start; i < end; i++ {
+				acc.Add(i, p.ExtractPaths(docs[i]))
+			}
+			if err := merged.Merge(acc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := p.MineStats(merged)
+		if !reflect.DeepEqual(got, serial) {
+			t.Fatalf("%d shards: merged schema diverged from serial fold:\n%s\nvs\n%s", shards, got, serial)
+		}
+		if dtd.FromSchema(got, p.cfg.DTD).Render() != want {
+			t.Fatalf("%d shards: derived DTD rendering differs from serial mining", shards)
+		}
 	}
 }
 

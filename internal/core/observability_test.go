@@ -37,18 +37,14 @@ func tracedPipeline(t *testing.T, tr obs.Tracer, parallelism int) *Pipeline {
 
 // TestTracerDisabledAddsNothing is the acceptance guarantee for the no-op
 // path: a build under the default (nil → no-op) tracer records no stages
-// and no counters anywhere, and surfaces no stats on the repository.
+// and no counters anywhere, and the pipeline surfaces no metrics.
 func TestTracerDisabledAddsNothing(t *testing.T) {
 	p := tracedPipeline(t, nil, 0)
 	if p.Tracer().Enabled() {
 		t.Fatal("default tracer must be disabled")
 	}
-	repo, err := p.Build(corpusSources(t, 6, 11))
-	if err != nil {
+	if _, err := p.Build(corpusSources(t, 6, 11)); err != nil {
 		t.Fatal(err)
-	}
-	if repo.Stages != nil {
-		t.Fatalf("no-op build surfaced stages: %v", repo.Stages)
 	}
 	if p.Metrics() != nil {
 		t.Fatal("no-op pipeline returned a metrics snapshot")
@@ -58,37 +54,35 @@ func TestTracerDisabledAddsNothing(t *testing.T) {
 // TestTracerEnabledRecordsAllStages is the acceptance guarantee for the
 // enabled path: one Build records named timings for every pipeline stage
 // (convert, extract, mine, derive, map) and non-zero counters for the
-// paper's measured quantities, retrievable via Pipeline.Metrics,
-// Repository.Stages, and the JSON snapshot writer.
+// paper's measured quantities, retrievable via Pipeline.Metrics and the
+// JSON snapshot writer.
 func TestTracerEnabledRecordsAllStages(t *testing.T) {
 	c := obs.NewCollector()
 	p := tracedPipeline(t, c, 0)
 	sources := corpusSources(t, 6, 11)
-	repo, err := p.Build(sources)
-	if err != nil {
+	if _, err := p.Build(sources); err != nil {
 		t.Fatal(err)
+	}
+	snap := p.Metrics()
+	if snap == nil {
+		t.Fatal("Metrics() returned nil with a collector attached")
 	}
 
 	for _, stage := range obs.PipelineStages {
-		st, ok := repo.Stages[stage]
+		st, ok := snap.Stages[stage]
 		if !ok {
-			t.Fatalf("stage %q not recorded; have %v", stage, repo.Stages)
+			t.Fatalf("stage %q not recorded; have %v", stage, snap.Stages)
 		}
 		if st.Count == 0 || st.Total <= 0 {
 			t.Fatalf("stage %q recorded but empty: %+v", stage, st)
 		}
 	}
 	// Per-document stages ran once per document.
-	if got := repo.Stages[obs.StageConvert].Count; got != int64(len(sources)) {
+	if got := snap.Stages[obs.StageConvert].Count; got != int64(len(sources)) {
 		t.Fatalf("convert spans = %d, want %d", got, len(sources))
 	}
-	if got := repo.Stages[obs.StageMap].Count; got != int64(len(sources)) {
+	if got := snap.Stages[obs.StageMap].Count; got != int64(len(sources)) {
 		t.Fatalf("map spans = %d, want %d", got, len(sources))
-	}
-
-	snap := p.Metrics()
-	if snap == nil {
-		t.Fatal("Metrics() returned nil with a collector attached")
 	}
 	for _, ctr := range []string{
 		obs.CtrDocsConverted, obs.CtrBytesIn, obs.CtrBytesOut,

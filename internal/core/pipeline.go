@@ -28,9 +28,6 @@ type Config struct {
 	Constraints *concept.Constraints
 	// RootName names the XML document root (e.g. "resume").
 	RootName string
-	// Convert carries further conversion options (delimiters, tag sets,
-	// classifier). RootName and Constraints above take precedence.
-	Convert convert.Options
 	// SupThreshold is the frequent-path support threshold (default 0.5).
 	SupThreshold float64
 	// RatioThreshold is the support-ratio threshold below which a path is
@@ -60,10 +57,10 @@ type Config struct {
 	// obs.StageExtract, obs.StageMine, obs.StageDerive, obs.StageMap) and
 	// the paper's evaluation counters. Nil means the no-op tracer, which
 	// costs nothing. Pass an *obs.Collector to retrieve metrics via
-	// Pipeline.Metrics or Repository.Stages.
+	// Pipeline.Metrics.
 	Tracer obs.Tracer
 	// Limits bounds the resources one document may consume (DOM size,
-	// token budget, per-document deadline, mapping edit-cost ceiling).
+	// token budget, per-document deadline).
 	// Over-limit documents are degraded or quarantined instead of
 	// stalling the build. The zero value is unlimited.
 	Limits Limits
@@ -88,9 +85,6 @@ type Config struct {
 	// checkpointed build are read back from the segment for mapping, so
 	// they carry their converted XML but zero conversion Stats.
 	CheckpointDir string
-	// CheckpointEvery is the number of documents committed between
-	// checkpoints (default 256). Only meaningful with CheckpointDir.
-	CheckpointEvery int
 	// Inject, when non-nil, fires deterministic faults (panics, delays,
 	// errors) into the per-document convert and map stages — the chaos
 	// hook the fault-tolerance tests and experiment E10 use. Nil injects
@@ -124,25 +118,18 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.RatioThreshold == 0 {
 		cfg.RatioThreshold = 0.1
 	}
-	opts := cfg.Convert
-	if cfg.RootName != "" {
-		opts.RootName = cfg.RootName
-	}
-	if cfg.Constraints != nil {
-		opts.Constraints = cfg.Constraints
-	}
-	if cfg.Limits.MaxDOMNodes > 0 || cfg.Limits.MaxDepth > 0 || cfg.Limits.MaxTokens > 0 {
-		opts.Limits = convert.Limits{
+	tr := obs.OrNop(cfg.Tracer)
+	conv := convert.New(set, convert.Options{
+		RootName:    cfg.RootName,
+		Constraints: cfg.Constraints,
+		Limits: convert.Limits{
 			MaxDOMNodes: cfg.Limits.MaxDOMNodes,
 			MaxDepth:    cfg.Limits.MaxDepth,
 			MaxTokens:   cfg.Limits.MaxTokens,
-		}
-	}
-	tr := obs.OrNop(cfg.Tracer)
-	if opts.Tracer == nil {
-		opts.Tracer = tr
-	}
-	return &Pipeline{set: set, cfg: cfg, conv: convert.New(set, opts), tr: tr}, nil
+		},
+		Tracer: tr,
+	})
+	return &Pipeline{set: set, cfg: cfg, conv: conv, tr: tr}, nil
 }
 
 // Set returns the compiled concept set.
@@ -186,21 +173,6 @@ func (p *Pipeline) Convert(source, html string) *Document {
 		p.tr.Add(obs.CtrBytesIn, int64(len(html)))
 	}
 	return &Document{Source: source, XML: x, Stats: stats}
-}
-
-// TryConvert converts one HTML source inside the per-document fault
-// boundary: a panic, injected error, or Limits.DocTimeout overrun returns
-// a FailureRecord instead of crashing the caller. It is the entry point
-// replay tools (the `webrev quarantine` subcommand) use to re-run a
-// quarantined document after a fix. On success the record is nil; a
-// document truncated by Limits comes back with both a Document and a
-// FailLimit record.
-func (p *Pipeline) TryConvert(source, html string) (*Document, *FailureRecord) {
-	d, degraded, failed := p.convertGuarded(source, html)
-	if failed != nil {
-		return nil, failed
-	}
-	return d, degraded
 }
 
 // ConvertAll converts every source concurrently (bounded by
@@ -257,10 +229,9 @@ func (p *Pipeline) convertGuarded(name, html string) (d *Document, degraded, fai
 }
 
 // conformGuarded maps one converted document to the DTD inside the fault
-// boundary. A document whose mapping would exceed Limits.MaxMapCost is
-// kept identity-mapped (the unmodified converted tree) with a FailLimit
-// record; panics, injected errors, and deadline overruns quarantine it.
-func (p *Pipeline) conformGuarded(d *Document, dt *dtd.DTD) (out *dom.Node, st mapping.EditStats, degraded, failed *FailureRecord) {
+// boundary: panics, injected errors, and deadline overruns come back as
+// the failed record, which quarantines the document.
+func (p *Pipeline) conformGuarded(d *Document, dt *dtd.DTD) (out *dom.Node, st mapping.EditStats, failed *FailureRecord) {
 	failed = runGuarded(obs.StageMap, d.Source, p.cfg.Limits.DocTimeout, func() error {
 		if err := p.cfg.Inject.Fire(obs.StageMap, d.Source); err != nil {
 			return err
@@ -272,21 +243,9 @@ func (p *Pipeline) conformGuarded(d *Document, dt *dtd.DTD) (out *dom.Node, st m
 		if p.tr.Enabled() {
 			p.tr.Add(obs.CtrDocsQuarantined, 1)
 		}
-		return nil, mapping.EditStats{}, nil, failed
+		return nil, mapping.EditStats{}, failed
 	}
-	if max := p.cfg.Limits.MaxMapCost; max > 0 && st.Cost() > max {
-		degraded = &FailureRecord{
-			Stage: obs.StageMap,
-			URL:   d.Source,
-			Kind:  FailLimit,
-			Err:   fmt.Sprintf("mapping cost %d exceeds ceiling %d; kept identity-mapped", st.Cost(), max),
-		}
-		if p.tr.Enabled() {
-			p.tr.Add(obs.CtrDocsDegraded, 1)
-		}
-		return d.XML, mapping.EditStats{}, degraded, nil
-	}
-	return out, st, nil, nil
+	return out, st, nil
 }
 
 // Repository is the result of the full pipeline over a corpus.
@@ -304,19 +263,13 @@ type Repository struct {
 	// MapStats records the edit counts mapping spent per document, aligned
 	// with Conformed.
 	MapStats []mapping.EditStats
-	// Stages holds the per-stage timing aggregates of the build when the
-	// pipeline was configured with a recording tracer (*obs.Collector),
-	// and is nil under the no-op default. Keys are the obs.Stage*
-	// constants; counters live on the collector's Snapshot.
-	Stages map[string]obs.StageStats
 	// Quarantined records the documents dropped from the build by the
 	// per-document fault boundary (panic, timeout, or error in conversion
 	// or mapping). A build that returns a non-nil Repository with entries
 	// here succeeded within its error budget (Config.MaxFailureRatio).
 	Quarantined []FailureRecord
 	// Degraded records the documents kept in the build but limited by
-	// Config.Limits: conversions truncated by node/depth/token caps, and
-	// mappings left identity-mapped over the edit-cost ceiling.
+	// Config.Limits: conversions truncated by node/depth/token caps.
 	Degraded []FailureRecord
 	// TotalInput is the number of source documents the build was given,
 	// including quarantined ones — the denominator of FailureRatio.
@@ -326,17 +279,13 @@ type Repository struct {
 // Export stores the build's conformed documents in a queryable,
 // persistable repository.Repository governed by the derived DTD — the
 // snapshot form webrevd serves and Save/Load persist. Documents the fault
-// boundary quarantined are absent; a degraded document whose
-// identity-mapped tree still fails DTD validation is skipped rather than
-// failing the export.
+// boundary quarantined are absent; a conformed tree that still fails DTD
+// validation is skipped rather than failing the export.
 func (r *Repository) Export() *repository.Repository {
 	repo := repository.New(r.DTD)
 	for i, c := range r.Conformed {
-		if err := repo.Add(r.Docs[i].Source, c); err != nil {
-			// Only degraded (identity-mapped) documents can still violate
-			// the DTD here; keep the export and drop the invalid document.
-			continue
-		}
+		// A tree the DTD rejects is left out; the rest still export.
+		_ = repo.Add(r.Docs[i].Source, c)
 	}
 	return repo
 }
@@ -457,19 +406,8 @@ func (p *Pipeline) DeriveDTD(s *schema.Schema) *dtd.DTD {
 }
 
 // Build runs the complete pipeline: convert every source, discover the
-// majority schema, derive the DTD, and map every document to conform.
-// sources maps identifiers to HTML.
-//
-// Build is the context-free convenience wrapper over BuildContext,
-// retained for existing callers; new code that wants cancellation or
-// deadlines should call BuildContext directly.
-func (p *Pipeline) Build(sources []Source) (*Repository, error) {
-	return p.BuildContext(context.Background(), sources)
-}
-
-// BuildContext runs the complete pipeline under ctx: convert every
-// source, discover the majority schema over the surviving documents,
-// derive the DTD, and map every survivor to conform.
+// majority schema over the surviving documents, derive the DTD, and map
+// every survivor to conform.
 //
 // Conversion and DTD-guided mapping both run on the ordered pool with
 // Config.Parallelism workers: the build is one in-memory shard of the
@@ -481,12 +419,12 @@ func (p *Pipeline) Build(sources []Source) (*Repository, error) {
 // per-document deadline overrun (Limits.DocTimeout), or injected error
 // quarantines that document — it is dropped from Docs/Conformed/MapStats
 // and recorded on Repository.Quarantined — instead of aborting the build.
-// The build fails only when ctx is cancelled, every document is
-// quarantined, or the quarantined fraction exceeds the error budget
-// (Config.MaxFailureRatio); on a budget failure the partial Repository is
-// returned alongside the error for inspection.
-func (p *Pipeline) BuildContext(ctx context.Context, sources []Source) (*Repository, error) {
-	return p.run(ctx, p.memBuild(&shard{next: rangeFeed(0, 0, len(sources), func(i int) (Source, error) {
+// The build fails only when every document is quarantined or the
+// quarantined fraction exceeds the error budget (Config.MaxFailureRatio);
+// on a budget failure the partial Repository is returned alongside the
+// error for inspection.
+func (p *Pipeline) Build(sources []Source) (*Repository, error) {
+	return p.run(context.Background(), p.memBuild(&shard{next: rangeFeed(0, 0, len(sources), func(i int) (Source, error) {
 		return sources[i], nil
 	})}))
 }
@@ -495,7 +433,7 @@ func (p *Pipeline) BuildContext(ctx context.Context, sources []Source) (*Reposit
 // already-converted documents whose extraction statistics are pre-folded in
 // acc: the schema is mined from the accumulator (MineStats), the DTD derived
 // from it, and every document mapped to conform under the same fault
-// boundary and error budget as BuildContext. The build is one shard seeded
+// boundary and error budget as Build. The build is one shard seeded
 // with docs and acc, so it has no convert phase.
 //
 // This is the incremental-rebuild engine of the watch loop
@@ -504,7 +442,7 @@ func (p *Pipeline) BuildContext(ctx context.Context, sources []Source) (*Reposit
 // repository is re-derived here without reconverting the unchanged corpus.
 // Because accumulator folding is exact, a BuildFromStats over an
 // incrementally maintained accumulator is byte-identical to a cold
-// BuildContext over the same final corpus state.
+// Build over the same final corpus state.
 //
 // The docs slice is only read; acc is mined, not modified.
 func (p *Pipeline) BuildFromStats(ctx context.Context, docs []*Document, acc *schema.Accumulator) (*Repository, error) {
@@ -524,30 +462,22 @@ type Source struct {
 }
 
 // ConvertSource converts one source under the same per-document fault
-// boundary as BuildContext: a panic, per-document deadline overrun, or
-// injected fault comes back as the failed record (document nil) instead of
+// boundary as Build: a panic, per-document deadline overrun, or injected
+// fault comes back as the failed record (document nil) instead of
 // propagating; a conversion degraded by Config.Limits comes back with the
 // degraded record alongside the (truncated) document. This is the
 // single-document entry point the watch loop (internal/watch) uses to fold
-// changed pages without rebuilding the corpus.
+// changed pages without rebuilding the corpus, and `webrev quarantine
+// replay` uses to re-run a quarantined document after a fix.
 func (p *Pipeline) ConvertSource(s Source) (d *Document, degraded, failed *FailureRecord) {
 	return p.convertGuarded(s.Name, s.HTML)
 }
 
-// BuildRepository runs the complete pipeline and stores every conformed
-// document in a queryable, persistable repository governed by the derived
-// DTD. It is the context-free wrapper over BuildRepositoryContext.
+// BuildRepository runs the complete pipeline (Build) and stores every
+// conformed document in a queryable, persistable repository governed by
+// the derived DTD (Repository.Export).
 func (p *Pipeline) BuildRepository(sources []Source) (*repository.Repository, error) {
-	return p.BuildRepositoryContext(context.Background(), sources)
-}
-
-// BuildRepositoryContext runs the complete pipeline under ctx and stores
-// every conformed document in a queryable, persistable repository governed
-// by the derived DTD. Documents the fault boundary quarantined are absent;
-// a degraded document whose identity-mapped tree still fails DTD
-// validation is skipped rather than failing the whole build.
-func (p *Pipeline) BuildRepositoryContext(ctx context.Context, sources []Source) (*repository.Repository, error) {
-	built, err := p.BuildContext(ctx, sources)
+	built, err := p.Build(sources)
 	if err != nil {
 		return nil, err
 	}

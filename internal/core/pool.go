@@ -10,7 +10,7 @@ import (
 // items in order, works them on up to workers goroutines, and commits each
 // result on the calling goroutine in pull order, so per-item work runs in
 // parallel while everything that must be ordered — folds, appends,
-// checkpoints, sink deliveries — stays serial and deterministic.
+// checkpoints — stays serial and deterministic.
 //
 // At most limit items sit between pull and commit: a slot is reserved
 // before each pull, so a blocking pull (a channel receive) backpressures

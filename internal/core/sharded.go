@@ -33,10 +33,10 @@ import (
 //
 // Each shard checkpoints durably (state.json + its flushed segment) every
 // CheckpointEvery documents, so a killed shard resumes from its last
-// checkpoint on the next BuildSharded over the same directory and the
+// checkpoint on the next BuildShardedFrom over the same directory and the
 // completed build is still byte-identical to an uninterrupted one.
 
-// ShardOptions configures BuildSharded.
+// ShardOptions configures BuildShardedFrom.
 type ShardOptions struct {
 	// Shards is the number of independent shard workers (default 2). It is
 	// clamped to the corpus size.
@@ -56,7 +56,7 @@ type ShardOptions struct {
 	// kill, when non-nil, is the crash-injection test hook: it runs after
 	// each document a shard finishes, and returning true makes that shard
 	// stop immediately — no final checkpoint, no segment flush — as if the
-	// process died. BuildSharded then returns errShardKilled.
+	// process died. BuildShardedFrom then returns errShardKilled.
 	kill func(shard, done int) bool
 }
 
@@ -104,27 +104,22 @@ func shardRange(n, shards, i int) (start, end int) {
 	return start, end
 }
 
-// BuildSharded runs the complete pipeline over sources as a sharded,
-// disk-backed, crash-resumable build (see the package comment above for
-// the dataflow). The result's repository, DTD, and conformed documents are
-// byte-identical to Build + Export over the same sources.
+// BuildShardedFrom runs the complete pipeline over n sources as a
+// sharded, disk-backed, crash-resumable build (see the package comment
+// above for the dataflow). The result's repository, DTD, and conformed
+// documents are byte-identical to Build + Export over the same sources.
+//
+// Sources are produced lazily: at(i) is called once per source, by the
+// shard that owns index i, just before conversion — so a corpus read from
+// disk or generated on the fly is never resident as a whole, keeping RSS
+// flat at million-document scale. at must be deterministic (a resumed
+// build calls it again for re-processed indices) and safe for concurrent
+// calls with distinct i.
 //
 // The build directory opts.Dir persists between calls: a build that failed
 // or was killed mid-convert resumes from each shard's last checkpoint; a
 // completed build re-run over the same directory skips all conversion work
 // and re-derives the same output.
-func (p *Pipeline) BuildSharded(ctx context.Context, sources []Source, opts ShardOptions) (*ShardResult, error) {
-	return p.BuildShardedFrom(ctx, len(sources), func(i int) (Source, error) {
-		return sources[i], nil
-	}, opts)
-}
-
-// BuildShardedFrom is BuildSharded with lazy source production: at(i) is
-// called once per source, by the shard that owns index i, just before
-// conversion — so a corpus read from disk or generated on the fly is never
-// resident as a whole, keeping RSS flat at million-document scale. at must
-// be deterministic (a resumed build calls it again for re-processed
-// indices) and safe for concurrent calls with distinct i.
 func (p *Pipeline) BuildShardedFrom(ctx context.Context, n int, at func(i int) (Source, error), opts ShardOptions) (*ShardResult, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("core: sharded build needs a working directory")

@@ -44,6 +44,11 @@ func singleProcessRepo(t *testing.T, sources []Source) *repository.Repository {
 	return repo
 }
 
+// sourceAt is the BuildShardedFrom provider over an in-memory corpus.
+func sourceAt(sources []Source) func(int) (Source, error) {
+	return func(i int) (Source, error) { return sources[i], nil }
+}
+
 // TestShardRangePartition: shard ranges are a contiguous partition of
 // [0, n) in shard order, for every split.
 func TestShardRangePartition(t *testing.T) {
@@ -75,7 +80,7 @@ func TestBuildShardedMatchesBuild(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		dir := t.TempDir()
 		for pass, label := range []string{"fresh", "rerun"} {
-			res, err := resumePipeline(t).BuildSharded(context.Background(), sources, ShardOptions{
+			res, err := resumePipeline(t).BuildShardedFrom(context.Background(), len(sources), sourceAt(sources), ShardOptions{
 				Shards:          shards,
 				Dir:             dir,
 				CheckpointEvery: 5,
@@ -120,7 +125,7 @@ func TestBuildShardedKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.BuildSharded(context.Background(), sources, ShardOptions{
+	_, err = p.BuildShardedFrom(context.Background(), len(sources), sourceAt(sources), ShardOptions{
 		Shards:          2,
 		Dir:             dir,
 		CheckpointEvery: 4,
@@ -134,7 +139,7 @@ func TestBuildShardedKillResume(t *testing.T) {
 		t.Fatalf("killed build returned %v, want errShardKilled", err)
 	}
 
-	res, err := p.BuildSharded(context.Background(), sources, ShardOptions{
+	res, err := p.BuildShardedFrom(context.Background(), len(sources), sourceAt(sources), ShardOptions{
 		Shards:          2,
 		Dir:             dir,
 		CheckpointEvery: 4,
@@ -159,7 +164,7 @@ func TestBuildShardedEvictionIdentical(t *testing.T) {
 	single := singleProcessRepo(t, sources)
 	want := renderDiskRepo(t, single)
 
-	res, err := resumePipeline(t).BuildSharded(context.Background(), sources, ShardOptions{
+	res, err := resumePipeline(t).BuildShardedFrom(context.Background(), len(sources), sourceAt(sources), ShardOptions{
 		Shards: 2,
 		Dir:    t.TempDir(),
 		Store:  repository.DiskOptions{MaxResidentDocs: 1},
@@ -205,7 +210,7 @@ func TestBuildShardedChaosQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.BuildSharded(context.Background(), sources, ShardOptions{
+	res, err := p.BuildShardedFrom(context.Background(), len(sources), sourceAt(sources), ShardOptions{
 		Shards:          4,
 		Dir:             t.TempDir(),
 		CheckpointEvery: 3,
@@ -340,7 +345,7 @@ func TestBuildShardedConformanceCounts(t *testing.T) {
 	if conforming == 0 || conforming == len(sources) {
 		t.Fatalf("fixture: %d of %d documents conform before mapping, want a mix", conforming, len(sources))
 	}
-	res, err := resumePipeline(t).BuildSharded(context.Background(), sources, ShardOptions{Shards: 3, Dir: t.TempDir()})
+	res, err := resumePipeline(t).BuildShardedFrom(context.Background(), len(sources), sourceAt(sources), ShardOptions{Shards: 3, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,24 +2,12 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 
-	"webrev/internal/dom"
-	"webrev/internal/mapping"
 	"webrev/internal/obs"
 )
-
-// StreamSink receives each document of a streaming build as its DTD-guided
-// mapping finishes. Documents arrive in input order (the ordered pool
-// commits each mapping as soon as every earlier one is done, so delivery
-// starts with the first document, not after all of them). A non-nil error
-// stops further deliveries and is returned by BuildStreamTo; mapping of the
-// remaining documents still completes. Once the build's context is
-// cancelled, no further documents are delivered.
-type StreamSink func(doc *Document, conformed *dom.Node, stats mapping.EditStats) error
 
 // BuildStream runs the complete pipeline over a channel of sources: the
 // streaming counterpart of Build. Documents are converted, their label
@@ -43,29 +31,22 @@ type StreamSink func(doc *Document, conformed *dom.Node, stats mapping.EditStats
 // Given the same sources in the same order, BuildStream's repository is
 // byte-identical to Build's.
 //
-// Per-document work runs inside the same fault boundary as BuildContext:
+// Per-document work runs inside the same fault boundary as Build:
 // a panic, per-document deadline overrun, or injected error quarantines
 // the document (recorded on Repository.Quarantined) instead of aborting
 // the stream, subject to the Config.MaxFailureRatio error budget.
 //
 // With Config.CheckpointDir set the build is crash-resumable: the
 // directory holds the shard checkpoint — state.json plus the conv/ segment
-// of converted documents — written every Config.CheckpointEvery documents,
-// and a later BuildStream over the same source stream skips the
-// already-processed prefix and produces output byte-identical to an
-// uninterrupted run. A completed build removes the checkpoint.
+// of converted documents — written every 256 documents, and a later
+// BuildStream over the same source stream skips the already-processed
+// prefix and produces output byte-identical to an uninterrupted run. A
+// completed build removes the checkpoint.
 //
 // On context cancellation the build abandons its result and returns the
 // context error after the documents it accepted are folded (writing a
 // final checkpoint first, when checkpointing is on).
 func (p *Pipeline) BuildStream(ctx context.Context, in <-chan Source) (*Repository, error) {
-	return p.BuildStreamTo(ctx, in, nil)
-}
-
-// BuildStreamTo is BuildStream with a sink receiving each conformed
-// document as its mapping finishes; see StreamSink. A nil sink is allowed.
-// Quarantined documents are never delivered to the sink.
-func (p *Pipeline) BuildStreamTo(ctx context.Context, in <-chan Source, sink StreamSink) (*Repository, error) {
 	workers := p.workers()
 	limit := p.cfg.MaxInFlight
 	if limit <= 0 {
@@ -105,16 +86,7 @@ func (p *Pipeline) BuildStreamTo(ctx context.Context, in <-chan Source, sink Str
 				}
 			}
 		}}
-	b := &build{shards: []*shard{s}, workers: workers, limit: limit, every: p.cfg.CheckpointEvery}
-	var sinkErr error
-	if sink != nil {
-		b.emit = func(d *Document, conformed *dom.Node, st mapping.EditStats) {
-			if sinkErr == nil && ctx.Err() == nil {
-				sinkErr = sink(d, conformed, st)
-			}
-		}
-	}
-	repo, err := p.run(ctx, b)
+	repo, err := p.run(ctx, &build{shards: []*shard{s}, workers: workers, limit: limit})
 	if p.tr.Enabled() {
 		p.tr.Set(obs.GaugeStreamInFlight, 0)
 		p.tr.Set(obs.GaugeStreamInFlightPeak, peak.Load())
@@ -125,8 +97,6 @@ func (p *Pipeline) BuildStreamTo(ctx context.Context, in <-chan Source, sink Str
 		return nil, ctx.Err()
 	case err != nil:
 		return repo, err
-	case sinkErr != nil:
-		return repo, fmt.Errorf("core: stream sink: %w", sinkErr)
 	}
 	if s.dir != "" {
 		// The build completed; clear the checkpoint so a later run over

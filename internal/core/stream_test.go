@@ -9,8 +9,6 @@ import (
 	"webrev/internal/concept"
 	"webrev/internal/corpus"
 	"webrev/internal/crawler"
-	"webrev/internal/dom"
-	"webrev/internal/mapping"
 	"webrev/internal/obs"
 	"webrev/internal/xmlout"
 )
@@ -104,66 +102,6 @@ func TestBuildStreamInFlightBounded(t *testing.T) {
 	}
 	if st, ok := coll.Stage(obs.StageMerge); !ok || st.Count != 1 {
 		t.Fatalf("merge stage not recorded: %+v ok=%v", st, ok)
-	}
-}
-
-// TestBuildStreamSinkOrdered checks the streaming sink receives every
-// document exactly once, in input order, with stats matching the returned
-// repository.
-func TestBuildStreamSinkOrdered(t *testing.T) {
-	sources := streamSources(20, 9)
-	p, err := New(streamConfig(nil, 4, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	var costs []int
-	repo, err := p.BuildStreamTo(context.Background(), SourceChan(sources),
-		func(d *Document, conformed *dom.Node, st mapping.EditStats) error {
-			names = append(names, d.Source)
-			costs = append(costs, st.Cost())
-			if conformed == nil {
-				t.Error("nil conformed document in sink")
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != len(sources) {
-		t.Fatalf("sink saw %d documents, want %d", len(names), len(sources))
-	}
-	for i, s := range sources {
-		if names[i] != s.Name {
-			t.Fatalf("sink order broken at %d: got %q, want %q", i, names[i], s.Name)
-		}
-		if costs[i] != repo.MapStats[i].Cost() {
-			t.Fatalf("sink stats for %d diverge from repository", i)
-		}
-	}
-}
-
-// TestBuildStreamSinkError propagates a sink failure without losing the
-// built repository.
-func TestBuildStreamSinkError(t *testing.T) {
-	p, err := New(streamConfig(nil, 2, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	repo, err := p.BuildStreamTo(context.Background(), SourceChan(streamSources(8, 2)),
-		func(*Document, *dom.Node, mapping.EditStats) error {
-			calls++
-			return context.Canceled // any error
-		})
-	if err == nil {
-		t.Fatal("sink error not propagated")
-	}
-	if calls != 1 {
-		t.Fatalf("sink called %d times after erroring, want 1", calls)
-	}
-	if repo == nil || len(repo.Conformed) != 8 {
-		t.Fatal("repository lost on sink error")
 	}
 }
 

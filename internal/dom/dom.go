@@ -123,16 +123,6 @@ func (n *Node) SetAttr(name, value string) {
 	n.Attrs = append(n.Attrs, Attr{Name: name, Value: value})
 }
 
-// DeleteAttr removes the named attribute if present.
-func (n *Node) DeleteAttr(name string) {
-	for i := range n.Attrs {
-		if n.Attrs[i].Name == name {
-			n.Attrs = append(n.Attrs[:i], n.Attrs[i+1:]...)
-			return
-		}
-	}
-}
-
 // ValAttr is the attribute every converted XML element carries (paper §2.3).
 const ValAttr = "val"
 
@@ -253,38 +243,6 @@ func (n *Node) AdoptChildren(src *Node) {
 		k.Parent = n
 		n.Children = append(n.Children, k)
 	}
-}
-
-// NextSibling returns the sibling immediately after n, or nil.
-func (n *Node) NextSibling() *Node {
-	if n.Parent == nil {
-		return nil
-	}
-	i := n.Parent.ChildIndex(n)
-	if i >= 0 && i+1 < len(n.Parent.Children) {
-		return n.Parent.Children[i+1]
-	}
-	return nil
-}
-
-// PrevSibling returns the sibling immediately before n, or nil.
-func (n *Node) PrevSibling() *Node {
-	if n.Parent == nil {
-		return nil
-	}
-	i := n.Parent.ChildIndex(n)
-	if i > 0 {
-		return n.Parent.Children[i-1]
-	}
-	return nil
-}
-
-// FirstChild returns n's first child or nil.
-func (n *Node) FirstChild() *Node {
-	if len(n.Children) == 0 {
-		return nil
-	}
-	return n.Children[0]
 }
 
 // Depth returns the number of ancestors of n (root has depth 0).

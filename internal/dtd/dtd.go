@@ -99,9 +99,6 @@ type Options struct {
 	// DetectGroups enables discovery of repetitive group patterns such as
 	// (e1, e2)+ from observed child sequences (§3.3's closing extension).
 	DetectGroups bool
-	// GroupMinFrac is the fraction of observed sequences a tuple must
-	// explain to become a group (default 0.8).
-	GroupMinFrac float64
 }
 
 // FromSchema derives a DTD from a majority schema. Content models for an
@@ -183,11 +180,7 @@ func FromSchema(s *schema.Schema, opts Options) *DTD {
 		d.index[name] = el
 	}
 	if opts.DetectGroups {
-		minFrac := opts.GroupMinFrac
-		if minFrac <= 0 {
-			minFrac = 0.8
-		}
-		applyGroupPatterns(d, root, minFrac)
+		applyGroupPatterns(d, root)
 	}
 	d.demoteRequirementCycles()
 	return d

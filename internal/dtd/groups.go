@@ -88,16 +88,21 @@ func tupleRepeats(t, s []string) (int, bool) {
 	return k, true
 }
 
+// groupMinFrac is the fraction of observed child sequences a tuple must
+// explain to become a group.
+const groupMinFrac = 0.8
+
 // applyGroupPatterns rewrites element content models where a repeating
-// tuple covers the observed child sequences: the children matching the
-// tuple are replaced by a single group particle (t1, t2, ...)+.
-func applyGroupPatterns(d *DTD, root *schema.Node, minFrac float64) {
+// tuple covers at least groupMinFrac of the observed child sequences: the
+// children matching the tuple are replaced by a single group particle
+// (t1, t2, ...)+.
+func applyGroupPatterns(d *DTD, root *schema.Node) {
 	var walk func(n *schema.Node)
 	walk = func(n *schema.Node) {
 		for _, c := range n.Children {
 			walk(c)
 		}
-		tuple, ok := DetectTuple(n.Seqs, minFrac)
+		tuple, ok := DetectTuple(n.Seqs, groupMinFrac)
 		if !ok {
 			return
 		}

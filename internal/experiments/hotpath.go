@@ -18,19 +18,16 @@ import (
 // E12: discover->mine->map hot-path before/after (beyond the paper)
 // ---------------------------------------------------------------------------
 
-// HotPathPoint is one corpus size of the E12 sweep: the mining fold timed
-// serial versus sharded, the mapping pass timed against a cold versus a
-// precompiled DTD, and the tree-edit distance timed on a distinct pair
-// (full DP) versus an identical pair (subtree-hash memo short-circuit).
-// The *Equal fields record the equivalence checks the optimizations are
-// contractually bound to — a false value is a correctness bug, not a
-// performance result.
+// HotPathPoint is one corpus size of the E12 sweep: the mining fold timed,
+// the mapping pass timed against a cold versus a precompiled DTD, and the
+// tree-edit distance timed on a distinct pair (full DP) versus an
+// identical pair (subtree-hash memo short-circuit). MapEqual records the
+// equivalence check the precompiled index is contractually bound to — a
+// false value is a correctness bug, not a performance result.
 type HotPathPoint struct {
 	Docs int
 
 	SerialMineMs float64
-	ShardMineMs  float64
-	MineEqual    bool // sharded schema byte-identical to serial
 
 	ColdMapMs float64
 	WarmMapMs float64
@@ -43,20 +40,14 @@ type HotPathPoint struct {
 
 // HotPathResult is the E12 sweep across corpus sizes.
 type HotPathResult struct {
-	Shards int
 	Points []HotPathPoint
 }
 
-// hotPathShards is the fold width of the parallel miner E12 measures
-// against the serial fold (schema.Miner.Shards). It is fixed, not
-// GOMAXPROCS, so the sweep's rows do not depend on the machine.
-const hotPathShards = 8
-
 // RunHotPath measures the round-2 hot-path optimizations over growing
-// corpus slices: parallel sharded path mining against the serial fold,
-// conformance mapping against a cold versus precompiled DTD, and the
-// memoized tree-edit distance. Every timed pair is also checked for exact
-// output equality, so the sweep doubles as an end-to-end equivalence run.
+// corpus slices: the serial path-mining fold, conformance mapping against a
+// cold versus precompiled DTD, and the memoized tree-edit distance. Every
+// mapping pair is also checked for exact output equality, so the sweep
+// doubles as an end-to-end equivalence run.
 func RunHotPath(sizes []int, seed int64) (HotPathResult, error) {
 	g := corpus.New(corpus.Options{Seed: seed})
 	max := 0
@@ -68,11 +59,9 @@ func RunHotPath(sizes []int, seed int64) (HotPathResult, error) {
 	all := g.Corpus(max)
 	conv := resumeConverter()
 	set := concept.ResumeSet()
-	res := HotPathResult{Shards: hotPathShards}
-	miner := func() *schema.Miner {
-		return &schema.Miner{SupThreshold: 0.5, RatioThreshold: 0.1,
-			Constraints: concept.ResumeConstraints(), Set: set}
-	}
+	var res HotPathResult
+	miner := &schema.Miner{SupThreshold: 0.5, RatioThreshold: 0.1,
+		Constraints: concept.ResumeConstraints(), Set: set}
 	for _, n := range sizes {
 		var pt HotPathPoint
 		pt.Docs = n
@@ -85,15 +74,8 @@ func RunHotPath(sizes []int, seed int64) (HotPathResult, error) {
 		}
 
 		start := time.Now()
-		serial := miner().Discover(docs)
+		serial := miner.Discover(docs)
 		pt.SerialMineMs = msSince(start)
-
-		m := miner()
-		m.Shards = hotPathShards
-		start = time.Now()
-		sharded := m.Discover(docs)
-		pt.ShardMineMs = msSince(start)
-		pt.MineEqual = serial.String() == sharded.String()
 
 		cold := dtd.FromSchema(serial, dtd.Options{})
 		warm := dtd.FromSchema(serial, dtd.Options{})
@@ -147,19 +129,16 @@ func msSince(start time.Time) float64 {
 // Report renders the E12 sweep.
 func (r HotPathResult) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "E12 — Hot-path round 2: %d-way sharded mining, precompiled conform, memoized tree distance\n", r.Shards)
-	b.WriteString("    docs   mine-serial   mine-shard     map-cold     map-warm   memo-hits   td-dp(ns)   td-memo(ns)\n")
+	b.WriteString("E12 — Hot-path round 2: path mining, precompiled conform, memoized tree distance\n")
+	b.WriteString("    docs   mine-serial     map-cold     map-warm   memo-hits   td-dp(ns)   td-memo(ns)\n")
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "  %6d  %10.1fms  %10.1fms  %9.1fms  %9.1fms  %10d  %10.0f  %12.0f\n",
-			p.Docs, p.SerialMineMs, p.ShardMineMs, p.ColdMapMs, p.WarmMapMs,
+		fmt.Fprintf(&b, "  %6d  %10.1fms  %9.1fms  %9.1fms  %10d  %10.0f  %12.0f\n",
+			p.Docs, p.SerialMineMs, p.ColdMapMs, p.WarmMapMs,
 			p.MemoHits, p.TreeDistNs, p.TreeDistMemoNs)
-		if !p.MineEqual {
-			fmt.Fprintf(&b, "          EQUIVALENCE FAIL: sharded mining diverged from serial at %d docs\n", p.Docs)
-		}
 		if !p.MapEqual {
 			fmt.Fprintf(&b, "          EQUIVALENCE FAIL: precompiled conform diverged from cold at %d docs\n", p.Docs)
 		}
 	}
-	b.WriteString("  every row checks sharded==serial schemas and warm==cold conformed XML byte-for-byte\n")
+	b.WriteString("  every row checks warm==cold conformed XML byte-for-byte\n")
 	return b.String()
 }

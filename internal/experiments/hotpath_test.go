@@ -10,16 +10,10 @@ func TestRunHotPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Shards != hotPathShards {
-		t.Fatalf("shards = %d, want %d", res.Shards, hotPathShards)
-	}
 	if len(res.Points) != 2 {
 		t.Fatalf("points = %d, want 2", len(res.Points))
 	}
 	for _, p := range res.Points {
-		if !p.MineEqual {
-			t.Fatalf("%d docs: sharded mining diverged from serial", p.Docs)
-		}
 		if !p.MapEqual {
 			t.Fatalf("%d docs: precompiled conform diverged from cold", p.Docs)
 		}

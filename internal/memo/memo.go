@@ -136,15 +136,6 @@ type Stats struct {
 	Entries int    `json:"entries"`
 }
 
-// HitRate returns hits/(hits+misses), or 0 before any Get.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Stats aggregates hit/miss counts and the live entry count across all
 // shards. A nil cache reports zeros. Counts are maintained under the
 // per-shard lock the hot path already takes, so tracking costs nothing

@@ -147,14 +147,3 @@ func (c *Collector) Reset() {
 	c.gauges = make(map[string]int64)
 	c.mu.Unlock()
 }
-
-// StagesOf extracts the per-stage aggregates from a tracer when it is a
-// recording Collector, and nil otherwise — how the pipeline surfaces
-// StageStats on its Repository without forcing collection on.
-func StagesOf(t Tracer) map[string]StageStats {
-	c, ok := t.(*Collector)
-	if !ok {
-		return nil
-	}
-	return c.Snapshot().Stages
-}

@@ -58,12 +58,9 @@ const (
 	StageConvert = "pipeline.convert" // HTML → concept-tagged XML, per document
 	StageExtract = "schema.extract"   // XML → label-path representation
 	StageMine    = "schema.mine"      // frequent-path discovery
-	// StageMineFold times the parallel per-shard accumulator fold that
-	// precedes frequent-path discovery when the miner runs sharded.
-	StageMineFold = "schema.mine.fold"
-	StageDerive   = "dtd.derive"  // schema → DTD
-	StageMap      = "map.conform" // DTD-guided document mapping, per document
-	StageCrawl    = "crawl"       // acquisition crawl (bridged from crawler.Report)
+	StageDerive  = "dtd.derive"       // schema → DTD
+	StageMap     = "map.conform"      // DTD-guided document mapping, per document
+	StageCrawl   = "crawl"            // acquisition crawl (bridged from crawler.Report)
 	// StageMerge times merging the shard accumulators of a build into the
 	// one summary the miner mines; every build records it exactly once.
 	StageMerge = "schema.merge"
@@ -82,7 +79,7 @@ const (
 	// watch loop (internal/watch).
 	StageWatch = "watch.cycle"
 	// StageShardConvert times one shard worker's whole convert+fold pass
-	// over its source range in a sharded build (core.BuildSharded). The
+	// over its source range in a sharded build (core.BuildShardedFrom). The
 	// per-shard span names come from ShardStage.
 	StageShardConvert = "shard.convert"
 	// StageShardMap times one shard worker's whole DTD-guided mapping pass
@@ -119,9 +116,8 @@ const (
 	CtrMapEdits        = "map.edits"           // total edit operations across documents
 	CtrMapDocs         = "map.docs"            // documents through conformance mapping
 	CtrMapMemoHits     = "map.memo_hits"       // Conform calls reusing the precompiled DTD index
-	CtrMineShards      = "mine.shards"         // accumulator shards folded by the parallel miner
 	CtrDocsQuarantined = "docs.quarantined"    // documents dropped by per-document fault isolation
-	CtrDocsDegraded    = "docs.degraded"       // documents kept but truncated or identity-mapped by limits
+	CtrDocsDegraded    = "docs.degraded"       // documents kept but truncated by limits
 	CtrDocsRestored    = "docs.restored"       // documents restored from a build checkpoint (streaming or sharded)
 	CtrCheckpoints     = "checkpoint.writes"   // checkpoints written by build shards (streaming or sharded)
 	CtrCrawlFetched    = "crawl.fetched"

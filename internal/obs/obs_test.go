@@ -138,18 +138,6 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestStagesOf(t *testing.T) {
-	if StagesOf(Nop()) != nil {
-		t.Fatal("StagesOf(Nop) must be nil")
-	}
-	c := NewCollector()
-	c.Observe(StageMap, time.Millisecond)
-	stages := StagesOf(c)
-	if stages == nil || stages[StageMap].Count != 1 {
-		t.Fatalf("StagesOf(collector) = %+v", stages)
-	}
-}
-
 func TestServeDebug(t *testing.T) {
 	c := NewCollector()
 	c.Observe(StageCrawl, 7*time.Millisecond)

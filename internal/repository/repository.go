@@ -81,11 +81,12 @@ func (r *Repository) Add(name string, doc *dom.Node) error {
 }
 
 // Index returns the label-path index over the stored documents, building
-// it on first use. Building decodes every document once; with a disk
-// store the trees stream through the bounded LRU rather than staying
-// resident (the index itself holds only label paths and refs). Index
-// returns nil when a document cannot be read or decoded; Query and Count
-// return that error.
+// it on first use. Building decodes every document once, and the built
+// index keeps every decoded tree resident: each pathindex.Ref holds its
+// *dom.Node, so a disk store's bounded LRU does not bound an indexed
+// repository's memory (ROADMAP.md item 5 plans a persistent index).
+// Index returns nil when a document cannot be read or decoded; Query and
+// Count return that error.
 func (r *Repository) Index() *pathindex.Index {
 	ix, _ := r.buildIndex()
 	return ix
@@ -192,8 +193,8 @@ func (r *Repository) Save(dir string) error {
 
 // SaveDTDFile writes the rendered DTD into dir under the standard
 // schema.dtd name, making a disk store's directory a self-contained
-// repository for Load and LoadDisk. The sharded build (core.BuildSharded)
-// calls this on its final segment directory.
+// repository for Load and LoadDisk. The sharded build
+// (core.BuildShardedFrom) calls this on its final segment directory.
 func SaveDTDFile(dir string, d *dtd.DTD) error {
 	return os.WriteFile(filepath.Join(dir, dtdFile), []byte(d.Render()), 0o644)
 }

@@ -11,7 +11,7 @@ import (
 // choose between the in-memory form (MemStore — every decoded DOM
 // resident, the historical behavior) and the disk-backed form (DiskStore —
 // content-addressed XML blobs with a bounded cache of decoded DOMs). The
-// pipeline's sharded build (core.BuildSharded) writes through this
+// pipeline's sharded build (core.BuildShardedFrom) writes through this
 // interface so a million-document corpus never has to be resident at once.
 //
 // Contract:

@@ -104,12 +104,6 @@ type SiteConformance struct {
 	NewRate float64 `json:"new_rate"`
 }
 
-// Regressed reports whether the site's conformance rate dropped by at
-// least min.
-func (s *SiteConformance) Regressed(min float64) bool {
-	return s.OldDocs > 0 && s.NewDocs > 0 && s.OldRate-s.NewRate >= min
-}
-
 // Drift is the report one watch cycle emits: what the recrawl saw, and how
 // the derived schema and DTD moved. It marshals deterministically (all
 // slices sorted) so chaos goldens can compare reports byte-for-byte.

@@ -85,20 +85,6 @@ func TestDriftSummaryAndShifted(t *testing.T) {
 	}
 }
 
-func TestSiteConformanceRegressed(t *testing.T) {
-	row := schema.SiteConformance{Site: "a", OldDocs: 10, NewDocs: 10, OldRate: 0.9, NewRate: 0.7}
-	if !row.Regressed(0.1) {
-		t.Error("0.2 drop not reported at 0.1 threshold")
-	}
-	if row.Regressed(0.3) {
-		t.Error("0.2 drop reported at 0.3 threshold")
-	}
-	noOld := schema.SiteConformance{Site: "b", NewDocs: 5, NewRate: 0.5}
-	if noOld.Regressed(0.1) {
-		t.Error("site with no old docs reported as regressed")
-	}
-}
-
 // TestSupportMap checks the flattening against the schema's own Paths().
 func TestSupportMap(t *testing.T) {
 	docs := convertedCorpus(t, 20, 3)

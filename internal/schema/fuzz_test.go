@@ -12,8 +12,9 @@ import (
 // FuzzMinePaths drives the whole extract→fold→freeze→mine chain on fuzzed
 // markup: the miner must never panic, supports and ratios must stay in
 // range, the discovered paths must be a prefix-closed subset of the
-// extracted universe, and the parallel sharded fold must equal the serial
-// one exactly.
+// extracted universe, and folding contiguous ranges into separate
+// accumulators and merging them — the split a sharded build makes — must
+// equal the serial fold exactly.
 func FuzzMinePaths(f *testing.F) {
 	seeds := []string{
 		"",
@@ -50,10 +51,18 @@ func FuzzMinePaths(f *testing.F) {
 			root := htmlparse.Parse(part)
 			docs = append(docs, Extract(root))
 		}
-		serial := (&Miner{SupThreshold: sup, RatioThreshold: ratio}).Discover(docs)
-		parallel := (&Miner{SupThreshold: sup, RatioThreshold: ratio, Shards: 3}).Discover(docs)
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("parallel miner diverged from serial:\n%s\nvs\n%s", serial, parallel)
+		m := &Miner{SupThreshold: sup, RatioThreshold: ratio}
+		serial := m.Discover(docs)
+		// Shards [0,1) and [1,3), each folded under global indices.
+		merged, rest := NewAccumulator(0), NewAccumulator(0)
+		merged.Add(0, docs[0])
+		rest.Add(1, docs[1])
+		rest.Add(2, docs[2])
+		if err := merged.Merge(rest); err != nil {
+			t.Fatal(err)
+		}
+		if sharded := m.DiscoverStats(merged); !reflect.DeepEqual(serial, sharded) {
+			t.Fatalf("merged shard fold diverged from serial:\n%s\nvs\n%s", serial, sharded)
 		}
 		universe := make(map[string]bool)
 		for _, d := range docs {

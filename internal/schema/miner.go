@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"webrev/internal/concept"
 	"webrev/internal/obs"
@@ -45,14 +44,6 @@ type Miner struct {
 	// Tracer, when non-nil, times Discover under obs.StageMine and records
 	// the explored/pruned/frequent path counters.
 	Tracer obs.Tracer
-	// Shards > 1 makes Discover fold the corpus in parallel: each of
-	// Shards workers folds a stride of the document slice into its own
-	// Accumulator, the shards merge in shard order, and the merged summary
-	// is mined. Merge
-	// is exactly commutative and associative, so the result is
-	// byte-identical to the serial fold — pinned by the parallel-miner
-	// equivalence tests. Zero or one keeps the serial fold.
-	Shards int
 }
 
 // Node is one node of the discovered majority schema tree TF.
@@ -97,43 +88,9 @@ type Schema struct {
 // DiscoverStats — which is exactly what it does, so the batch and streaming
 // build paths share a single mining implementation.
 func (m *Miner) Discover(docs []*DocPaths) *Schema {
-	w := m.Shards
-	if w > len(docs) {
-		w = len(docs)
-	}
-	if w <= 1 {
-		a := NewAccumulator(m.RepThreshold)
-		for i, d := range docs {
-			a.Add(i, d)
-		}
-		return m.DiscoverStats(a)
-	}
-	tr := obs.OrNop(m.Tracer)
-	sp := tr.StartSpan(obs.StageMineFold)
-	shards := make([]*Accumulator, w)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			acc := NewAccumulator(m.RepThreshold)
-			for i := k; i < len(docs); i += w {
-				acc.Add(i, docs[i])
-			}
-			shards[k] = acc
-		}(k)
-	}
-	wg.Wait()
-	a := shards[0]
-	for _, b := range shards[1:] {
-		if err := a.Merge(b); err != nil {
-			// Unreachable: every shard was built with m.RepThreshold.
-			panic(err)
-		}
-	}
-	sp.End()
-	if tr.Enabled() {
-		tr.Add(obs.CtrMineShards, int64(w))
+	a := NewAccumulator(m.RepThreshold)
+	for i, d := range docs {
+		a.Add(i, d)
 	}
 	return m.DiscoverStats(a)
 }

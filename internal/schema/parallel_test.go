@@ -4,10 +4,7 @@ import (
 	"encoding/json"
 	"math/big"
 	"math/rand"
-	"reflect"
 	"testing"
-
-	"webrev/internal/obs"
 )
 
 // bigCorpus replicates the Figure-2 trees into an n-document corpus with
@@ -19,26 +16,6 @@ func bigCorpus(n int) []*DocPaths {
 		out = append(out, base[i%len(base)])
 	}
 	return out
-}
-
-// TestParallelDiscoverMatchesSerial is the tentpole equivalence proof: for
-// every shard width, the parallel sharded fold must produce a schema
-// deeply equal — supports, ratios, positions, sequence samples, Explored
-// and Pruned counters — to the serial fold.
-func TestParallelDiscoverMatchesSerial(t *testing.T) {
-	docs := bigCorpus(101)
-	serial := (&Miner{SupThreshold: 0.5, RatioThreshold: 0.1}).Discover(docs)
-	for _, shards := range []int{2, 3, 7, 8, 16, 200} {
-		m := &Miner{SupThreshold: 0.5, RatioThreshold: 0.1, Shards: shards}
-		got := m.Discover(docs)
-		if !reflect.DeepEqual(got, serial) {
-			t.Fatalf("shards=%d: schema differs from serial\nserial:\n%s\ngot:\n%s",
-				shards, serial, got)
-		}
-		if got.String() != serial.String() {
-			t.Fatalf("shards=%d: rendering differs", shards)
-		}
-	}
 }
 
 // TestShardedAccumulatorsMergeExactly checks byte-identical merged wire
@@ -63,7 +40,7 @@ func TestShardedAccumulatorsMergeExactly(t *testing.T) {
 			shards[i%w].Add(i, d)
 		}
 		// Right-to-left merge order — the opposite association of the
-		// miner's left fold.
+		// build engine's left fold.
 		acc := shards[w-1]
 		for k := w - 2; k >= 0; k-- {
 			if err := shards[k].Merge(acc); err != nil {
@@ -78,37 +55,6 @@ func TestShardedAccumulatorsMergeExactly(t *testing.T) {
 		if string(got) != string(want) {
 			t.Fatalf("shards=%d: merged accumulator wire bytes differ from serial", w)
 		}
-	}
-}
-
-// TestMinerShardsCounter checks the mine.shards observability counter and
-// the fold span: recorded only on the parallel path, with the effective
-// shard count (clamped to the corpus size).
-func TestMinerShardsCounter(t *testing.T) {
-	docs := bigCorpus(10)
-	col := obs.NewCollector()
-	m := &Miner{SupThreshold: 0.5, Shards: 4, Tracer: col}
-	m.Discover(docs)
-	snap := col.Snapshot()
-	if got := snap.Counters[obs.CtrMineShards]; got != 4 {
-		t.Fatalf("mine.shards = %d, want 4", got)
-	}
-	if sp, ok := snap.Stages[obs.StageMineFold]; !ok || sp.Count != 1 {
-		t.Fatalf("fold span = %+v, want count 1", sp)
-	}
-	// Shards are clamped to the corpus size.
-	col2 := obs.NewCollector()
-	m2 := &Miner{SupThreshold: 0.5, Shards: 64, Tracer: col2}
-	m2.Discover(docs)
-	if got := col2.Snapshot().Counters[obs.CtrMineShards]; got != int64(len(docs)) {
-		t.Fatalf("clamped mine.shards = %d, want %d", got, len(docs))
-	}
-	// Serial path records neither.
-	col3 := obs.NewCollector()
-	m3 := &Miner{SupThreshold: 0.5, Tracer: col3}
-	m3.Discover(docs)
-	if got := col3.Snapshot().Counters[obs.CtrMineShards]; got != 0 {
-		t.Fatalf("serial mine.shards = %d, want 0", got)
 	}
 }
 
@@ -224,20 +170,5 @@ func TestPosRatMergePaths(t *testing.T) {
 	q.setRat(new(big.Rat).SetFrac64(7, 2))
 	if q.r != nil || q.num != 7 || q.den != 2 {
 		t.Fatalf("setRat small: %+v", q)
-	}
-}
-
-// BenchmarkMineParallel measures the sharded fold+mine over a corpus big
-// enough for the fan-out to pay (same doc mix as BenchmarkDiscover).
-func BenchmarkMineParallel(b *testing.B) {
-	docs := bigCorpus(303)
-	m := &Miner{SupThreshold: 0.5, RatioThreshold: 0.1, Shards: 8}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := m.Discover(docs)
-		if len(s.Roots) == 0 {
-			b.Fatal("empty schema")
-		}
 	}
 }

@@ -123,18 +123,6 @@ func ExtractTraced(root *dom.Node, tr obs.Tracer) *DocPaths {
 	return d
 }
 
-// ExtractAll reduces every document to its label-path representation,
-// recording one obs.StageExtract span per document and counting the
-// label-path prefixes extracted (CtrPathsExtracted sums over documents).
-// tr may be nil.
-func ExtractAll(roots []*dom.Node, tr obs.Tracer) []*DocPaths {
-	out := make([]*DocPaths, len(roots))
-	for i, r := range roots {
-		out[i] = ExtractTraced(r, tr)
-	}
-	return out
-}
-
 // SortedPaths returns the document's paths in lexicographic order, mainly
 // for tests and diagnostics.
 func (d *DocPaths) SortedPaths() []string {

@@ -13,12 +13,12 @@ import "sort"
 // is valid until the accumulator is next mutated (Add/Merge/UnmarshalJSON
 // drop the cache, and the next Freeze rebuilds it).
 type PathTable struct {
-	paths    []string    // sorted lexicographically; index is the path id
-	labels   []string    // LastLabel per id (substrings of paths — no copies)
-	aggs     []*pathAgg  // aggregate per id
-	parent   []int32     // parent id, -1 for roots
-	children [][]int32   // child ids per id, in label order
-	roots    []int32     // root ids, in label order
+	paths    []string   // sorted lexicographically; index is the path id
+	labels   []string   // LastLabel per id (substrings of paths — no copies)
+	aggs     []*pathAgg // aggregate per id
+	parent   []int32    // parent id, -1 for roots
+	children [][]int32  // child ids per id, in label order
+	roots    []int32    // root ids, in label order
 }
 
 // Len returns the number of interned paths.

@@ -85,21 +85,26 @@ const (
 	resultCacheSize = 4096
 )
 
-func newIndex(gen uint64, repo *repository.Repository) *Index {
+// newIndex builds a snapshot of repo, or fails when its path index cannot
+// be built because a document does not read or decode.
+func newIndex(repo *repository.Repository) (*Index, error) {
+	pix := repo.Index()
+	if pix == nil {
+		return nil, fmt.Errorf("serve: snapshot rejected: a document does not read or decode")
+	}
 	names := repo.Names()
 	byName := make(map[string]int, len(names))
 	for i, n := range names {
 		byName[n] = i
 	}
 	return &Index{
-		gen:     gen,
 		repo:    repo,
 		names:   names,
 		byName:  byName,
-		frozen:  repo.Index().Freeze(),
+		frozen:  pix.Freeze(),
 		dtdText: repo.DTD().Render(),
 		results: memo.New[[]byte](resultCacheSize),
-	}
+	}, nil
 }
 
 // Options parameterizes NewServer. The zero value serves with defaults:
@@ -219,7 +224,9 @@ const panicLogCap = 8
 // repo starts the server pending: /healthz answers (the process is live)
 // but /readyz and every /api endpoint return 503 until the first valid
 // snapshot is installed via Swap, Reload, or Follow — the boot shape of
-// follow mode, where the reload source may not exist yet.
+// follow mode, where the reload source may not exist yet. A repo whose
+// documents do not read starts it pending too, counted as a rejected
+// reload.
 func NewServer(repo *repository.Repository, opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
@@ -272,23 +279,33 @@ func (s *Server) handleDrift(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, d)
 }
 
-// install builds the next-generation snapshot and publishes it.
+// install builds the next-generation snapshot and publishes it, returning
+// the serving generation. A snapshot whose index cannot be built is
+// rejected like a failed reload, and the current generation keeps serving.
 func (s *Server) install(repo *repository.Repository) uint64 {
-	gen := s.gen.Add(1)
-	ix := newIndex(gen, repo)
+	ix, err := newIndex(repo)
+	if err != nil {
+		s.rejectReload(err)
+		if cur := s.cur.Load(); cur != nil {
+			return cur.gen
+		}
+		return 0
+	}
+	ix.gen = s.gen.Add(1)
 	s.cur.Store(ix)
 	s.swaps.Add(1)
 	if s.tr.Enabled() {
 		s.tr.Add(obs.CtrServeSwaps, 1)
 	}
-	return gen
+	return ix.gen
 }
 
 // Swap atomically replaces the serving snapshot with one built from repo
 // and returns the new generation. Readers in flight keep the snapshot they
 // started with; no request is blocked or dropped. Swap trusts its caller —
 // untrusted sources (reload, follow mode) go through Reload or TrySwap,
-// which validate first.
+// which validate first — but a repo whose documents do not read is still
+// rejected and the current generation returned.
 func (s *Server) Swap(repo *repository.Repository) uint64 {
 	sp := s.tr.StartSpan(obs.StageServeSwap)
 	defer sp.End()

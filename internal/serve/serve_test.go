@@ -255,6 +255,49 @@ func TestDocReadErrorIs500(t *testing.T) {
 	}
 }
 
+// TestUnreadableRepositoryStartsPending: a disk repository whose documents
+// cannot be read is rejected as a snapshot instead of crashing the server.
+// NewServer starts pending and Swap keeps serving the current generation,
+// each counting a rejected reload.
+func TestUnreadableRepositoryStartsPending(t *testing.T) {
+	dir := t.TempDir()
+	if err := testRepo(t, 6, 0).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := repository.LoadDisk(dir, repository.DiskOptions{MaxResidentDocs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Store().Close()
+	if err := os.Truncate(filepath.Join(dir, "segment.blob"), 10); err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewServer(bad, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if s.Ready() || resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("ready=%v /readyz=%d, want a pending server answering 503", s.Ready(), resp.StatusCode)
+	}
+	if st := s.Stats(); st.ReloadRejected != 1 || st.Panics != 0 || s.LastReloadError() == "" {
+		t.Fatalf("reload_rejected=%d panics=%d last error %q, want 1, 0 and an error",
+			st.ReloadRejected, st.Panics, s.LastReloadError())
+	}
+
+	if gen := s.Swap(testRepo(t, 2, 0)); gen != 1 || !s.Ready() {
+		t.Fatalf("swap to a good repository: gen %d ready %v", gen, s.Ready())
+	}
+	if gen := s.Swap(bad); gen != 1 || s.Snapshot().Docs() != 2 || s.Stats().ReloadRejected != 2 {
+		t.Fatalf("swap to an unreadable repository: gen %d, %d docs serving, %d rejected",
+			gen, s.Snapshot().Docs(), s.Stats().ReloadRejected)
+	}
+}
+
 func readAll(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	defer resp.Body.Close()

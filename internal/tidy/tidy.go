@@ -17,10 +17,9 @@ import (
 // Options configures the cleansing passes. The zero value applies every
 // pass; use a field to switch one off.
 type Options struct {
-	KeepComments    bool // retain comment nodes
-	KeepScripts     bool // retain script/style/head content
-	KeepEmptyText   bool // retain whitespace-only text nodes
-	KeepHeadingNest bool // do not repair content nested inside headings
+	KeepComments  bool // retain comment nodes
+	KeepScripts   bool // retain script/style/head content
+	KeepEmptyText bool // retain whitespace-only text nodes
 }
 
 // nonContentTags are elements whose entire subtree carries no document
@@ -50,9 +49,7 @@ func CleanWith(n *dom.Node, opts Options) *dom.Node {
 	}
 	normalizeWhitespace(n, opts.KeepEmptyText)
 	mergeTextRuns(n)
-	if !opts.KeepHeadingNest {
-		repairHeadings(n)
-	}
+	repairHeadings(n)
 	return n
 }
 

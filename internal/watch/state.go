@@ -14,27 +14,26 @@ import (
 	"webrev/internal/xmlout"
 )
 
-// The watch state directory is version 2 of the streaming build's original
-// checkpoint manifest layout (version 1, which builds no longer write; see
-// below). The directory shape is unchanged — a state.json manifest plus
-// one doc-%08d.xml file per live converted document, manifest written
-// atomically (tmp + rename), doc files not listed in the manifest ignored —
-// and version 2 extends the manifest with the continuous-operation state:
-// the crawl validators (crawler.CrawlState), the delta accumulator, the
-// cycle ordinal, and the previous cycle's derivation (supports, DTD text,
-// per-site conformance) that the next drift report diffs against.
+// The watch state directory is version 2 of the state manifest: a
+// state.json manifest plus one doc-%08d.xml file per live converted
+// document, manifest written atomically (tmp + rename), doc files not
+// listed in the manifest ignored. The manifest carries the
+// continuous-operation state: the crawl validators (crawler.CrawlState),
+// the delta accumulator, the cycle ordinal, and the previous cycle's
+// derivation (supports, DTD text, per-site conformance) that the next
+// drift report diffs against.
 //
-// Two version-1 layouts migrate. The original streaming-build manifest
-// lists its documents' doc files. A build's shard checkpoint — what an
-// interrupted BuildStream with a CheckpointDir leaves behind — has no
-// document list: it carries the accumulator under "acc", and its documents
-// are the first "stored" entries of the conv/ disk segment beside it.
-// Either way the documents are restored, their statistics re-extracted
-// into a fresh delta accumulator, and the crawl state starts empty, so the
-// first cycle refetches everything and classifies by content hash; the
-// first save writes every migrated document's doc file. The full format
-// contract, including the version bump policy, is documented in DESIGN.md
-// ("Versioned persistent formats").
+// A build's version-1 shard checkpoint — what an interrupted BuildStream
+// with a CheckpointDir leaves behind — seeds a watcher: it carries the
+// build accumulator under "acc", and its documents are the first "stored"
+// entries of the conv/ disk segment beside it. The documents are restored,
+// their statistics re-extracted into a fresh delta accumulator, and the
+// crawl state starts empty, so the first cycle refetches everything and
+// classifies by content hash; the first save writes every migrated
+// document's doc file. A version-1 manifest without "acc" (the older form
+// that listed doc files) is rejected. The full format contract, including
+// the version bump policy, is documented in DESIGN.md ("Versioned
+// persistent formats").
 
 // StateVersion is the watch state manifest version this package writes.
 const StateVersion = 2
@@ -42,25 +41,15 @@ const StateVersion = 2
 // stateFileName is the manifest filename inside a state directory.
 const stateFileName = "state.json"
 
-// stateDoc is one live document's manifest entry. Version 2 writes URL;
-// version 1 wrote the same value under "source".
+// stateDoc is one live document's manifest entry.
 type stateDoc struct {
-	Idx    int    `json:"idx"`
-	URL    string `json:"url,omitempty"`
-	Source string `json:"source,omitempty"`
-}
-
-// name returns the document's identifier under either version's field.
-func (d stateDoc) name() string {
-	if d.URL != "" {
-		return d.URL
-	}
-	return d.Source
+	Idx int    `json:"idx"`
+	URL string `json:"url,omitempty"`
 }
 
 // stateManifest is the serialized form of a watch state directory's
-// state.json, covering both the version it writes (2) and the version-1
-// streaming-checkpoint fields it can migrate from.
+// state.json, covering the version it writes (2) and the version-1 shard
+// checkpoint fields it migrates from.
 type stateManifest struct {
 	// Version guards the format; readers reject versions they don't know.
 	Version int `json:"version"`
@@ -77,9 +66,6 @@ type stateManifest struct {
 	// Stored is a version-1 shard checkpoint's document count: its
 	// documents are the first Stored entries of the conv/ segment.
 	Stored int `json:"stored,omitempty"`
-	// Shards holds per-worker accumulator encodings (version 1 only; they
-	// are not delta-capable and are discarded on migration).
-	Shards []json.RawMessage `json:"shards,omitempty"`
 	// Docs lists the live documents; each entry's XML lives in doc-%08d.xml.
 	Docs []stateDoc `json:"docs"`
 	// Supports is the previous cycle's path → support map.
@@ -90,8 +76,7 @@ type stateManifest struct {
 	Sites map[string]siteRate `json:"sites,omitempty"`
 }
 
-// docFile names the converted-XML file of accumulator index idx — the same
-// naming the version-1 checkpoint store uses.
+// docFile names the converted-XML file of accumulator index idx.
 func docFile(dir string, idx int) string {
 	return filepath.Join(dir, fmt.Sprintf("doc-%08d.xml", idx))
 }
@@ -149,10 +134,10 @@ func (w *Watcher) save() error {
 }
 
 // load restores the watcher from its state directory. A missing manifest is
-// a fresh start, not an error. Version 2 restores everything; version 1 (a
-// streaming-build manifest or a build's shard checkpoint) migrates —
-// documents restore from their XML, statistics re-extract into a fresh
-// delta accumulator, and the crawl state starts empty.
+// a fresh start, not an error. Version 2 restores everything; a version-1
+// shard checkpoint migrates — documents restore from its conv/ segment,
+// statistics re-extract into a fresh delta accumulator, and the crawl
+// state starts empty.
 func (w *Watcher) load() error {
 	dir := w.opt.StateDir
 	data, err := os.ReadFile(filepath.Join(dir, stateFileName))
@@ -166,19 +151,23 @@ func (w *Watcher) load() error {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return fmt.Errorf("watch: state decode: %w", err)
 	}
-	switch m.Version {
-	case 1, StateVersion:
-	default:
-		return fmt.Errorf("watch: state version %d not supported (want 1 or %d)", m.Version, StateVersion)
-	}
-
-	maxIdx := -1
 	if m.Version == 1 && len(m.Acc) > 0 {
+		// The checkpoint's own accumulator is not delta-capable; it is
+		// discarded and the statistics re-extracted.
 		if err := w.loadSegment(filepath.Join(dir, "conv"), m.Stored); err != nil {
 			return err
 		}
-		maxIdx = m.Stored - 1
+		w.next = m.Stored
+		for _, e := range w.docs {
+			w.acc.Add(e.idx, w.opt.Pipeline.ExtractPaths(e.doc))
+		}
+		return nil
 	}
+	if m.Version != StateVersion {
+		return fmt.Errorf("watch: state version %d not supported (want %d or a version-1 shard checkpoint)", m.Version, StateVersion)
+	}
+
+	maxIdx := -1
 	for _, sd := range m.Docs {
 		xml, err := os.ReadFile(docFile(dir, sd.Idx))
 		if err != nil {
@@ -188,54 +177,43 @@ func (w *Watcher) load() error {
 		if err != nil {
 			return fmt.Errorf("watch: state doc %d: %w", sd.Idx, err)
 		}
-		name := sd.name()
-		if name == "" || w.docs[name] != nil {
-			return fmt.Errorf("watch: state doc %d: missing or duplicate name %q", sd.Idx, name)
+		if sd.URL == "" || w.docs[sd.URL] != nil {
+			return fmt.Errorf("watch: state doc %d: missing or duplicate name %q", sd.Idx, sd.URL)
 		}
-		w.docs[name] = &docEntry{idx: sd.Idx, doc: &core.Document{Source: name, XML: root}}
+		w.docs[sd.URL] = &docEntry{idx: sd.Idx, doc: &core.Document{Source: sd.URL, XML: root}}
 		if sd.Idx > maxIdx {
 			maxIdx = sd.Idx
 		}
 	}
 
-	if m.Version == StateVersion {
-		w.cycle = m.Cycle
-		w.next = m.NextIdx
-		if w.next <= maxIdx {
-			w.next = maxIdx + 1
-		}
-		if m.Crawl != nil && m.Crawl.Pages != nil {
-			w.crawl = m.Crawl
-		}
-		if len(m.Acc) > 0 {
-			acc := &schema.Accumulator{}
-			if err := json.Unmarshal(m.Acc, acc); err != nil {
-				return fmt.Errorf("watch: state decode: %w", err)
-			}
-			if !acc.Delta() {
-				return fmt.Errorf("watch: state accumulator is not delta-capable")
-			}
-			if acc.Docs() != len(w.docs) {
-				return fmt.Errorf("watch: state accumulator folds %d documents, manifest lists %d",
-					acc.Docs(), len(w.docs))
-			}
-			w.acc = acc
-		}
-		if m.Supports != nil {
-			w.prevSupports = m.Supports
-		}
-		w.prevDTD = m.DTD
-		if m.Sites != nil {
-			w.prevSites = m.Sites
-		}
-		return nil
+	w.cycle = m.Cycle
+	w.next = m.NextIdx
+	if w.next <= maxIdx {
+		w.next = maxIdx + 1
 	}
-
-	// Version 1: re-extract statistics into the delta accumulator; the
-	// checkpoint's own (compacted, non-invertible) shards are discarded.
-	w.next = maxIdx + 1
-	for _, e := range w.docs {
-		w.acc.Add(e.idx, w.opt.Pipeline.ExtractPaths(e.doc))
+	if m.Crawl != nil && m.Crawl.Pages != nil {
+		w.crawl = m.Crawl
+	}
+	if len(m.Acc) > 0 {
+		acc := &schema.Accumulator{}
+		if err := json.Unmarshal(m.Acc, acc); err != nil {
+			return fmt.Errorf("watch: state decode: %w", err)
+		}
+		if !acc.Delta() {
+			return fmt.Errorf("watch: state accumulator is not delta-capable")
+		}
+		if acc.Docs() != len(w.docs) {
+			return fmt.Errorf("watch: state accumulator folds %d documents, manifest lists %d",
+				acc.Docs(), len(w.docs))
+		}
+		w.acc = acc
+	}
+	if m.Supports != nil {
+		w.prevSupports = m.Supports
+	}
+	w.prevDTD = m.DTD
+	if m.Sites != nil {
+		w.prevSites = m.Sites
 	}
 	return nil
 }

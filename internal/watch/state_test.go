@@ -11,13 +11,13 @@ import (
 
 	"webrev/internal/concept"
 	"webrev/internal/core"
+	"webrev/internal/crawler"
 )
 
 // TestWatchShardCheckpointMigration: a checkpointed streaming build killed
 // mid-stream leaves a shard checkpoint (state.json + conv/ segment) that
 // seeds a watcher — documents restore from the segment, statistics
-// re-extract — and the first cycle matches a cold build, the way the
-// version-1 manifest migrates.
+// re-extract — and the first cycle matches a cold build.
 func TestWatchShardCheckpointMigration(t *testing.T) {
 	site, srv := newSite(t, 8, 19)
 	dir := t.TempDir()
@@ -29,11 +29,10 @@ func TestWatchShardCheckpointMigration(t *testing.T) {
 		}
 	}
 	p, err := core.New(core.Config{
-		Concepts:        concept.ResumeConcepts(),
-		Constraints:     concept.ResumeConstraints(),
-		RootName:        "resume",
-		CheckpointDir:   dir,
-		CheckpointEvery: 2,
+		Concepts:      concept.ResumeConcepts(),
+		Constraints:   concept.ResumeConstraints(),
+		RootName:      "resume",
+		CheckpointDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,5 +80,20 @@ func TestWatchShardCheckpointMigration(t *testing.T) {
 	w2 := newWatcher(t, srv, Options{StateDir: dir})
 	if w2.Cycles() != 1 || w2.Docs() != w.Docs() {
 		t.Fatalf("v2 reload: cycles %d docs %d, want 1/%d", w2.Cycles(), w2.Docs(), w.Docs())
+	}
+}
+
+// TestWatchStateRejectsDocListManifest: the version-1 manifest that listed
+// doc files instead of carrying a shard checkpoint's accumulator is no
+// longer read, and loading it fails naming its version.
+func TestWatchStateRejectsDocListManifest(t *testing.T) {
+	dir := t.TempDir()
+	manifest := `{"version": 1, "docs": [{"idx": 0, "source": "http://example.test/a"}]}`
+	if err := os.WriteFile(filepath.Join(dir, stateFileName), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(Options{Pipeline: testPipeline(t), Crawler: &crawler.Crawler{}, Seed: "http://example.test/", StateDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("loading a version-1 doc-list manifest: err = %v, want one naming version 1", err)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -261,82 +259,6 @@ func TestWatchResumeMatchesContinuous(t *testing.T) {
 			t.Fatalf("cycle %d: drift reports diverge:\n%s\n%s", cycle, ja, jb)
 		}
 	}
-}
-
-// TestWatchStateV1Migration: a version-1 streaming-build checkpoint loads
-// as watch state — documents restore, statistics re-extract into a delta
-// accumulator — and the first cycle reconciles it against the live site,
-// retiring records the site no longer serves.
-func TestWatchStateV1Migration(t *testing.T) {
-	site, srv := newSite(t, 6, 13)
-	dir := t.TempDir()
-	p := testPipeline(t)
-
-	type v1Doc struct {
-		Idx    int    `json:"idx"`
-		Source string `json:"source"`
-	}
-	var docs []v1Doc
-	idx := 0
-	for _, path := range site.Paths() {
-		if !strings.HasPrefix(path, "/resumes/") {
-			continue
-		}
-		html, _ := site.Page(path)
-		d, _, failed := p.ConvertSource(core.Source{Name: srv.URL + path, HTML: html})
-		if failed != nil {
-			t.Fatalf("convert %s: %s", path, failed.Err)
-		}
-		if err := os.WriteFile(docFile(dir, idx), []byte(xmlout.Marshal(d.XML)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		docs = append(docs, v1Doc{Idx: idx, Source: srv.URL + path})
-		idx++
-	}
-	// One checkpointed document the site no longer serves.
-	gone, _, _ := p.ConvertSource(core.Source{Name: srv.URL + "/resumes/gone.html",
-		HTML: docs0HTML(t, site)})
-	if err := os.WriteFile(docFile(dir, idx), []byte(xmlout.Marshal(gone.XML)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	docs = append(docs, v1Doc{Idx: idx, Source: srv.URL + "/resumes/gone.html"})
-	manifest, _ := json.Marshal(map[string]any{"version": 1, "shards": []json.RawMessage{}, "docs": docs})
-	if err := os.WriteFile(filepath.Join(dir, stateFileName), manifest, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	w := newWatcher(t, srv, Options{StateDir: dir})
-	if w.Docs() != len(docs) {
-		t.Fatalf("migrated %d docs, checkpoint had %d", w.Docs(), len(docs))
-	}
-	res, err := w.Cycle(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Drift.Docs.Vanished == 0 {
-		t.Fatal("stale checkpoint record was not retired")
-	}
-	if got, want := renderRepo(res.Repo), renderRepo(coldRepo(t, w, site, srv.URL)); got != want {
-		t.Fatal("migrated state diverges from cold build")
-	}
-	// The next life loads as version 2.
-	w2 := newWatcher(t, srv, Options{StateDir: dir})
-	if w2.Cycles() != 1 || w2.Docs() != w.Docs() {
-		t.Fatalf("v2 reload: cycles %d docs %d, want 1/%d", w2.Cycles(), w2.Docs(), w.Docs())
-	}
-}
-
-// docs0HTML returns some resume page's HTML to stand in for a vanished doc.
-func docs0HTML(t *testing.T, site *crawler.Site) string {
-	t.Helper()
-	for _, path := range site.Paths() {
-		if strings.HasPrefix(path, "/resumes/") {
-			html, _ := site.Page(path)
-			return html
-		}
-	}
-	t.Fatal("site has no resume pages")
-	return ""
 }
 
 // TestWatchRun drives the Run loop for a fixed cycle count.

@@ -4,7 +4,6 @@
 package xmlout
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/xml"
 	"fmt"
@@ -16,10 +15,10 @@ import (
 	"webrev/internal/entity"
 )
 
-// bufPool recycles the serialization buffers behind Marshal and
-// MarshalCompact. The buffer is returned to the pool before the call
-// returns; callers only ever see the copied-out string, so no pooled
-// memory escapes. See ARCHITECTURE.md, "Performance model".
+// bufPool recycles the serialization buffers behind Marshal. The buffer is
+// returned to the pool before the call returns; callers only ever see the
+// copied-out string, so no pooled memory escapes. See ARCHITECTURE.md,
+// "Performance model".
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const xmlHeader = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
@@ -30,37 +29,7 @@ func Marshal(n *dom.Node) string {
 	b := bufPool.Get().(*bytes.Buffer)
 	b.Reset()
 	b.WriteString(xmlHeader)
-	writeNode(b, n, 0, true)
-	s := b.String()
-	bufPool.Put(b)
-	return s
-}
-
-// MarshalTo streams the indented XML rendering of n to w — the
-// allocation-friendly path for writing large repositories. Errors are
-// reported once, after the final flush.
-func MarshalTo(w io.Writer, n *dom.Node) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString(xmlHeader)
-	writeNode(bw, n, 0, true)
-	return bw.Flush()
-}
-
-// xmlWriter is satisfied by strings.Builder, bytes.Buffer and bufio.Writer.
-// It is a superset of entity.Writer, so escape output streams straight into
-// the same sink.
-type xmlWriter interface {
-	io.Writer
-	WriteString(string) (int, error)
-	WriteByte(byte) error
-}
-
-// MarshalCompact renders the subtree without the declaration, indentation or
-// newlines — the canonical single-line form used in tests.
-func MarshalCompact(n *dom.Node) string {
-	b := bufPool.Get().(*bytes.Buffer)
-	b.Reset()
-	writeNode(b, n, 0, false)
+	writeNode(b, n, 0)
 	s := b.String()
 	bufPool.Put(b)
 	return s
@@ -72,7 +41,7 @@ const maxPad = 64
 
 var indentPad = strings.Repeat("  ", maxPad)
 
-func writePad(b xmlWriter, depth int) {
+func writePad(b *bytes.Buffer, depth int) {
 	for depth > maxPad {
 		b.WriteString(indentPad)
 		depth -= maxPad
@@ -80,54 +49,35 @@ func writePad(b xmlWriter, depth int) {
 	b.WriteString(indentPad[:2*depth])
 }
 
-func writeNode(b xmlWriter, n *dom.Node, depth int, indent bool) {
+// writeNode writes n and its subtree, one node per line indented by depth.
+func writeNode(b *bytes.Buffer, n *dom.Node, depth int) {
 	switch n.Type {
 	case dom.DocumentNode:
 		for _, c := range n.Children {
-			writeNode(b, c, depth, indent)
+			writeNode(b, c, depth)
 		}
 		return
 	case dom.TextNode:
 		if t := strings.TrimSpace(n.Text); t != "" {
-			if indent {
-				writePad(b, depth)
-			}
+			writePad(b, depth)
 			entity.WriteText(b, t)
-			if indent {
-				b.WriteByte('\n')
-			}
+			b.WriteByte('\n')
 		}
 		return
 	case dom.CommentNode:
-		if indent {
-			writePad(b, depth)
-		}
+		writePad(b, depth)
 		b.WriteString("<!--")
-		if strings.Contains(n.Text, "--") {
-			b.WriteString(strings.ReplaceAll(n.Text, "--", "- -"))
-		} else {
-			b.WriteString(n.Text)
-		}
-		b.WriteString("-->")
-		if indent {
-			b.WriteByte('\n')
-		}
+		b.WriteString(strings.ReplaceAll(n.Text, "--", "- -"))
+		b.WriteString("-->\n")
 		return
 	case dom.DoctypeNode:
-		if indent {
-			writePad(b, depth)
-		}
+		writePad(b, depth)
 		b.WriteString("<!DOCTYPE ")
 		b.WriteString(n.Text)
-		b.WriteByte('>')
-		if indent {
-			b.WriteByte('\n')
-		}
+		b.WriteString(">\n")
 		return
 	}
-	if indent {
-		writePad(b, depth)
-	}
+	writePad(b, depth)
 	b.WriteByte('<')
 	b.WriteString(n.Tag)
 	for _, a := range n.Attrs {
@@ -138,28 +88,17 @@ func writeNode(b xmlWriter, n *dom.Node, depth int, indent bool) {
 		b.WriteByte('"')
 	}
 	if len(n.Children) == 0 {
-		b.WriteString("/>")
-		if indent {
-			b.WriteByte('\n')
-		}
+		b.WriteString("/>\n")
 		return
 	}
-	b.WriteByte('>')
-	if indent {
-		b.WriteByte('\n')
-	}
+	b.WriteString(">\n")
 	for _, c := range n.Children {
-		writeNode(b, c, depth+1, indent)
+		writeNode(b, c, depth+1)
 	}
-	if indent {
-		writePad(b, depth)
-	}
+	writePad(b, depth)
 	b.WriteString("</")
 	b.WriteString(n.Tag)
-	b.WriteByte('>')
-	if indent {
-		b.WriteByte('\n')
-	}
+	b.WriteString(">\n")
 }
 
 // Unmarshal parses an XML document into a dom tree rooted at a DocumentNode.

@@ -99,8 +99,7 @@ type (
 	// limit).
 	FailureKind = core.FailureKind
 	// Limits bounds the resources one document may consume (DOM size,
-	// token budget, per-document deadline, mapping edit-cost ceiling);
-	// set it on Config.Limits.
+	// token budget, per-document deadline); set it on Config.Limits.
 	Limits = core.Limits
 	// QuarantineStore is the directory-backed log of quarantined
 	// documents (Config.QuarantineDir) that `webrev quarantine` lists and
@@ -129,11 +128,6 @@ func OpenQuarantineStore(dir string) (*QuarantineStore, error) {
 func Acquire(ctx context.Context, c *Crawler, seed string) ([]Source, *CrawlReport, error) {
 	return core.Acquire(ctx, c, seed)
 }
-
-// StreamSink receives each document of a streaming build
-// (Pipeline.BuildStreamTo) as its DTD-guided mapping finishes, in input
-// order.
-type StreamSink = core.StreamSink
 
 // AcquireStream starts the crawl in the background and returns a channel of
 // on-topic Sources fit to feed Pipeline.BuildStream, so document conversion
