@@ -57,8 +57,12 @@ race:
 # fold/subtract interleavings
 # over the delta accumulator must exactly invert; opening a repository
 # directory from arbitrary index.log and segment.blob bytes must never
-# panic, and reading it must never write. Go allows one -fuzz target per
-# invocation, so each gets its own short run.
+# panic, and reading it must never write; opening a build shard's
+# checkpoint or a watch state directory from an arbitrary state.json must
+# fail or yield a consistent state (stored documents within the store,
+# the accumulator folding exactly them), never panic, and never touch a
+# path outside the directory. Go allows one -fuzz target per invocation,
+# so each gets its own short run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHTMLParse -fuzztime $(FUZZTIME) ./internal/htmlparse/
 	$(GO) test -run '^$$' -fuzz FuzzTidy -fuzztime $(FUZZTIME) ./internal/tidy/
@@ -68,6 +72,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMinePaths -fuzztime $(FUZZTIME) ./internal/schema/
 	$(GO) test -run '^$$' -fuzz FuzzFoldSubtract -fuzztime $(FUZZTIME) ./internal/schema/
 	$(GO) test -run '^$$' -fuzz FuzzDiskStoreOpen -fuzztime $(FUZZTIME) ./internal/repository/
+	$(GO) test -run '^$$' -fuzz FuzzShardState -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzWatchState -fuzztime $(FUZZTIME) ./internal/watch/
 
 # Every Go benchmark of the module (E1-E5 micro/macro benchmarks and the
 # rest). Per-layer numbers come from `bash perfbench/run.sh --trace 1`.
@@ -139,10 +145,14 @@ chaos:
 # rewrites ~20% of a site's templates mid-watch; the next cycle must detect
 # every mutated page, emit a drift report matching the pinned golden
 # (internal/watch/testdata/chaos_drift.golden), keep the quarantine budget
-# untouched, and resume cleanly from its state directory after a kill. See
-# ARCHITECTURE.md §7, "Continuous operation".
+# untouched, and resume cleanly from its state directory after a kill. The
+# watch crash tests run with it: a save killed before its manifest rename,
+# or after it but before the old store is removed, must leave a state
+# directory the next cycle resumes from — matching a cold build, and
+# leaving only the manifest and its store. See ARCHITECTURE.md §7,
+# "Continuous operation".
 chaos-drift:
-	$(GO) test -run TestWatchChaosDrift ./internal/watch/
+	$(GO) test -run 'TestWatchChaosDrift|TestWatchSaveCrash' ./internal/watch/
 
 # Serving-layer chaos gate, always under -race: 4x overload must shed with
 # 503s while admitted requests keep a bounded p99, injected handler panics

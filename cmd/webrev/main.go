@@ -360,8 +360,9 @@ func cmdQuarantine(args []string, w io.Writer) error {
 // and print (and optionally write) each cycle's drift report. With
 // -checkpoint the state survives restarts. The directory may also hold a
 // streaming build's checkpoint (`crawl -stream -checkpoint DIR`, i.e.
-// BuildStream with Config.CheckpointDir): its state.json and conv/ segment
-// migrate into the watch format on first load. A repository directory
+// BuildStream with Config.CheckpointDir): its conv/ segment seeds the
+// first cycle, and the first save replaces it with the watch state. A
+// repository directory
 // (`webrev build -out DIR`) is not a checkpoint. -out publishes the
 // conformed repository in that format after every cycle, by renaming each
 // file into place, so `webrevd -follow DIR` can track it while it is

@@ -33,11 +33,14 @@ import (
 	"webrev/internal/tidy"
 )
 
-// TokenTag is the temporary element name produced by the tokenization rule.
-const TokenTag = "TOKEN"
-
 // GroupTag is the temporary element name produced by the grouping rule.
 const GroupTag = "GROUP"
+
+// xmlControls are the control bytes XML 1.0 cannot carry: every C0
+// control but tab, newline and carriage return. The tokenization rule
+// splits at them as at a delimiter, so no token carries one into a val,
+// where it would make the stored XML undecodable.
+const xmlControls = "\x00\x01\x02\x03\x04\x05\x06\x07\x08\x0b\x0c\x0e\x0f\x10\x11\x12\x13\x14\x15\x16\x17\x18\x19\x1a\x1b\x1c\x1d\x1e\x1f"
 
 // Options configures a Converter. The zero value is completed by
 // applyDefaults with the paper's §4 settings.
@@ -180,8 +183,8 @@ type Converter struct {
 // state.
 func New(set *concept.Set, opts Options) *Converter {
 	c := &Converter{set: set, opts: opts.applyDefaults()}
-	for i := 0; i < len(c.opts.Delimiters); i++ {
-		c.delim[c.opts.Delimiters[i]] = true
+	for _, b := range []byte(c.opts.Delimiters + xmlControls) {
+		c.delim[b] = true
 	}
 	if c.opts.Classifier != nil {
 		// Warm the frozen snapshot so the first converted document does
@@ -269,9 +272,9 @@ func countConcepts(root *dom.Node, set *concept.Set) int {
 // Text rules (§2.3.1)
 // ---------------------------------------------------------------------------
 
-// Tokenize splits a topic sentence at the configured delimiters, trimming
-// whitespace and dropping empty tokens. Exposed for tests and the paper's
-// TOKEN-node semantics.
+// Tokenize splits a topic sentence at the configured delimiters and at
+// xmlControls, trimming whitespace and dropping empty tokens. Exposed for
+// tests and the paper's TOKEN-node semantics.
 func (c *Converter) Tokenize(text string) []string {
 	return c.appendTokens(nil, text)
 }

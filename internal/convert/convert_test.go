@@ -55,6 +55,11 @@ func TestTokenize(t *testing.T) {
 	if got := c.Tokenize("no delimiters here"); len(got) != 1 {
 		t.Fatalf("single token expected: %#v", got)
 	}
+	// A control byte XML cannot carry splits like a delimiter; tab and
+	// newline stay whitespace.
+	if got, want := c.Tokenize("MIT\x01B.S.\x00, June\t1999\n"), []string{"MIT", "B.S.", "June\t1999"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Tokenize with control bytes = %#v, want %#v", got, want)
+	}
 }
 
 func TestPaperTopicSentence(t *testing.T) {

@@ -1,18 +1,18 @@
 package convert_test
 
 import (
+	"reflect"
 	"testing"
 
 	"webrev/internal/concept"
 	"webrev/internal/convert"
 	"webrev/internal/corpus"
+	"webrev/internal/schema"
+	"webrev/internal/xmlout"
 )
 
-// FuzzConvert runs the full conversion pipeline (parse, tidy, tokenize,
-// instance rules, grouping, consolidation) on arbitrary HTML. Malformed or
-// truncated input must never panic, the result must be a valid tree rooted
-// at the configured root concept, and the token accounting must balance.
-func FuzzConvert(f *testing.F) {
+// fuzzSeeds is FuzzConvert's seed corpus.
+func fuzzSeeds() []string {
 	g := corpus.New(corpus.Options{Seed: 11})
 	seeds := []string{
 		"",
@@ -30,7 +30,15 @@ func FuzzConvert(f *testing.F) {
 	if long := g.Resume().HTML; len(long) > 40 {
 		seeds = append(seeds, long[:2*len(long)/3])
 	}
-	for _, s := range seeds {
+	return seeds
+}
+
+// FuzzConvert runs the full conversion pipeline (parse, tidy, tokenize,
+// instance rules, grouping, consolidation) on arbitrary HTML. Malformed or
+// truncated input must never panic, the result must be a valid tree rooted
+// at the configured root concept, and the token accounting must balance.
+func FuzzConvert(f *testing.F) {
+	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	set := concept.ResumeSet()
@@ -56,4 +64,34 @@ func FuzzConvert(f *testing.F) {
 			t.Fatalf("IdentifiedRatio out of range: %v (%+v)", r, stats)
 		}
 	})
+}
+
+// TestExtractSurvivesStoreRoundTrip: the label-path statistics of a
+// converted document are unchanged by a trip through its stored form
+// (xmlout.Marshal, then xmlout.UnmarshalElement), for every golden-corpus
+// document and every FuzzConvert seed, with and without the constraints the
+// golden build converts under. A resumed build and a loaded watch state
+// rebuild their accumulators from stored XML on this property.
+func TestExtractSurvivesStoreRoundTrip(t *testing.T) {
+	inputs := fuzzSeeds()
+	for _, r := range corpus.New(corpus.Options{Seed: 99}).Corpus(12) { // the golden corpus
+		inputs = append(inputs, r.HTML)
+	}
+	set := concept.ResumeSet()
+	for _, opts := range []convert.Options{
+		{RootName: "resume"},
+		{RootName: "resume", Constraints: concept.ResumeConstraints()},
+	} {
+		c := convert.New(set, opts)
+		for i, src := range inputs {
+			root, _ := c.Convert(src)
+			back, err := xmlout.UnmarshalElement(xmlout.Marshal(root))
+			if err != nil {
+				t.Fatalf("input %d: stored form does not decode: %v", i, err)
+			}
+			if got, want := schema.Extract(back), schema.Extract(root); !reflect.DeepEqual(got, want) {
+				t.Fatalf("input %d: label paths after the round trip\n%+v\nwant\n%+v", i, got, want)
+			}
+		}
+	}
 }

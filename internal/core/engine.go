@@ -30,7 +30,8 @@ import (
 // corpus index, the document is appended to the shard's store, any
 // failure is recorded, and a shard with a directory checkpoints every
 // CheckpointEvery documents. The store is in memory, or the conv/ disk
-// segment that the shard's state.json checkpoints.
+// segment whose length the shard's state.json records; a resumed shard
+// rebuilds its accumulator from that segment.
 //
 // The tail merges the shard accumulators (obs.StageMerge), mines the
 // majority schema, derives the DTD, and runs one map phase per shard
@@ -46,21 +47,21 @@ var errShardKilled = errors.New("core: shard killed")
 
 // defaultCheckpointEvery is the number of documents a shard commits
 // between checkpoints when the configured interval is unset. A checkpoint
-// re-encodes the whole shard accumulator, which grows with the documents
-// folded, so the interval trades resume granularity for checkpoint cost.
+// flushes the conv segment and rewrites a state.json of fixed size, so the
+// interval bounds the documents a killed shard converts again.
 const defaultCheckpointEvery = 256
 
 // shardStateVersion guards the shard checkpoint format.
-const shardStateVersion = 1
+const shardStateVersion = 2
 
 // shardStateFile is the per-shard checkpoint manifest name.
 const shardStateFile = "state.json"
 
-// shardState is a shard's durable checkpoint: where its range stands and
-// the accumulator fold so far. The converted XML lives beside it in the
-// conv/ disk segment; Stored is the authoritative segment length (a
-// resumed shard truncates the segment back to it, discarding any appends
-// after the last checkpoint).
+// shardState is a shard's durable checkpoint: where its range stands. The
+// converted XML lives beside it in the conv/ disk segment; Stored is the
+// authoritative segment length (a resumed shard truncates the segment back
+// to it, discarding any appends after the last checkpoint, and re-extracts
+// the accumulator from the documents it keeps).
 type shardState struct {
 	Version int `json:"version"`
 	// Start and End delimit the shard's half-open source range; End is -1
@@ -72,8 +73,6 @@ type shardState struct {
 	// appended to the conv segment (Done minus quarantined).
 	Done   int `json:"done"`
 	Stored int `json:"stored"`
-	// Acc is the shard accumulator's JSON encoding (schema.Accumulator).
-	Acc json.RawMessage `json:"acc"`
 	// Quarantined and Degraded carry the shard's failure records so a
 	// resumed build still reports them.
 	Quarantined []FailureRecord `json:"quarantined,omitempty"`
@@ -335,7 +334,7 @@ func (p *Pipeline) convertShard(ctx context.Context, b *build, s *shard) error {
 			defer s.after()
 		}
 		if b.record(s, r) {
-			s.acc.Add(s.start+s.st.Done, r.doc.Paths)
+			s.acc.Add(s.start+s.st.Stored, r.doc.Paths)
 			if s.conv == nil {
 				s.docs = append(s.docs, r.doc)
 			} else if err := s.conv.Append(r.doc.Source, r.doc.XML); err != nil {
@@ -373,11 +372,13 @@ func (p *Pipeline) convertShard(ctx context.Context, b *build, s *shard) error {
 }
 
 // openShard prepares s's accumulator and store. A shard with a directory
-// resumes from its checkpoint when one exists for the same range:
-// the conv segment is truncated back to the checkpoint's watermark and its
-// failure records carry over. A checkpoint for a different range
-// starts the shard fresh; an unreadable or unknown-version one is an
-// error.
+// resumes from its checkpoint when one exists for the same range: the
+// conv segment is truncated back to the checkpoint's watermark, each kept
+// document is decoded and re-extracted into the accumulator under the
+// index it was folded with (timed under obs.StageCheckpointRestore), and
+// the failure records carry over. A checkpoint for a different range
+// starts the shard fresh; an unreadable, unknown-version or inconsistent
+// one is an error.
 func (p *Pipeline) openShard(s *shard) error {
 	s.acc = schema.NewAccumulator(0)
 	s.st = shardState{Version: shardStateVersion, Start: s.start, End: s.end}
@@ -406,8 +407,8 @@ func (p *Pipeline) openShard(s *shard) error {
 		s.conv, err = repository.CreateDiskStore(convDir, opts)
 		return err
 	}
-	if err := json.Unmarshal(st.Acc, s.acc); err != nil {
-		return fmt.Errorf("core: shard checkpoint %s: %w", path, err)
+	if st.Stored < 0 || st.Stored > st.Done || (st.End >= 0 && st.Done > st.End-st.Start) {
+		return fmt.Errorf("core: shard checkpoint %s: %d stored of %d done outside the range [%d,%d)", path, st.Stored, st.Done, st.Start, st.End)
 	}
 	if s.conv, err = repository.OpenDiskStore(convDir, opts); err != nil {
 		return err
@@ -419,6 +420,15 @@ func (p *Pipeline) openShard(s *shard) error {
 	}
 	if err := s.conv.TruncateDocs(st.Stored); err != nil {
 		return err
+	}
+	sp := p.tr.StartSpan(obs.StageCheckpointRestore)
+	defer sp.End()
+	for i := 0; i < st.Stored; i++ {
+		root, err := s.conv.Doc(i)
+		if err != nil {
+			return fmt.Errorf("core: shard resume: %w", err)
+		}
+		s.acc.Add(s.start+i, schema.ExtractTraced(root, p.tr))
 	}
 	s.st = st
 	if p.tr.Enabled() {
@@ -436,9 +446,6 @@ func (p *Pipeline) checkpoint(s *shard) error {
 	var data []byte
 	tmp := filepath.Join(s.dir, shardStateFile+".tmp")
 	err := s.conv.Flush()
-	if err == nil {
-		s.st.Acc, err = json.Marshal(s.acc)
-	}
 	if err == nil {
 		data, err = json.Marshal(&s.st)
 	}

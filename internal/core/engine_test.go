@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -53,26 +54,36 @@ func TestBuildStreamCancelDuringMap(t *testing.T) {
 }
 
 // TestShardCheckpointStrict: a rerun over a completed sharded build
-// resumes from its checkpoint, but an unknown version or malformed
-// state.json is a hard error, and a checkpoint for a different range
-// restarts the shard fresh.
+// resumes from its checkpoint, but an unknown version — including version
+// 1, which carried the accumulator and has no writer left — a malformed
+// state.json, or counts outside the shard's range is a hard error, and a
+// checkpoint for a different range restarts the shard fresh.
 func TestShardCheckpointStrict(t *testing.T) {
 	sources := streamSources(12, 17)
 	want := renderDiskRepo(t, singleProcessRepo(t, sources))
+	version := func(v int) func(map[string]any, []byte) []byte {
+		return func(st map[string]any, _ []byte) []byte {
+			st["version"] = v
+			data, _ := json.Marshal(st)
+			return data
+		}
+	}
 	for _, tc := range []struct {
 		name    string
 		edit    func(state map[string]any, data []byte) []byte
-		wantErr bool
-		resumed int64 // shard.resumed on the rerun
-		reconvs int64 // docs.converted on the rerun
+		wantErr string // a substring of the rerun's error; empty: no error
+		resumed int64  // shard.resumed on the rerun
+		reconvs int64  // docs.converted on the rerun
 	}{
 		{name: "intact", edit: func(_ map[string]any, data []byte) []byte { return data }, resumed: 1},
-		{name: "version 9", edit: func(st map[string]any, _ []byte) []byte {
-			st["version"] = 9
+		{name: "version 1", edit: version(1), wantErr: "version 1"},
+		{name: "version 9", edit: version(9), wantErr: "version 9"},
+		{name: "truncated", edit: func(_ map[string]any, data []byte) []byte { return data[:len(data)/2] }, wantErr: "unexpected end"},
+		{name: "counts outside the range", edit: func(st map[string]any, _ []byte) []byte {
+			st["done"] = -3 // resuming would ask the provider for source -3
 			data, _ := json.Marshal(st)
 			return data
-		}, wantErr: true},
-		{name: "truncated", edit: func(_ map[string]any, data []byte) []byte { return data[:len(data)/2] }, wantErr: true},
+		}, wantErr: "outside the range"},
 		{name: "different range", edit: func(st map[string]any, _ []byte) []byte {
 			st["end"] = 7
 			data, _ := json.Marshal(st)
@@ -105,10 +116,13 @@ func TestShardCheckpointStrict(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err = p.BuildShardedFrom(context.Background(), len(sources), sourceAt(sources), opts)
-		if tc.wantErr {
+		if tc.wantErr != "" {
 			if err == nil {
 				res.Repo.Store().Close()
 				t.Fatalf("%s: rerun over a bad checkpoint succeeded", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("%s: rerun failed with %v, want an error naming %q", tc.name, err, tc.wantErr)
 			}
 			if n := coll.Counter(obs.CtrDocsConverted); n != 0 {
 				t.Fatalf("%s: rerun reconverted %d documents before failing", tc.name, n)

@@ -78,12 +78,13 @@ type Config struct {
 	// fix.
 	QuarantineDir string
 	// CheckpointDir, when set, makes BuildStream crash-resumable: the
-	// build's shard checkpoint — state.json (accumulator, progress,
-	// failure records) plus the conv/ segment of converted documents — is
-	// written there, and a later BuildStream over the same source stream
-	// resumes from it instead of redoing the work. The documents of a
-	// checkpointed build are read back from the segment for mapping, so
-	// they carry their converted XML but zero conversion Stats.
+	// build's shard checkpoint — state.json (progress and failure records)
+	// plus the conv/ segment of converted documents — is written there,
+	// and a later BuildStream over the same source stream resumes from it,
+	// re-extracting the kept documents' statistics instead of converting
+	// them again. The documents of a checkpointed build are read back from
+	// the segment for mapping, so they carry their converted XML but zero
+	// conversion Stats.
 	CheckpointDir string
 	// Inject, when non-nil, fires deterministic faults (panics, delays,
 	// errors) into the per-document convert and map stages — the chaos

@@ -31,10 +31,12 @@ import (
 // through each shard's segment. Only the final store's decoded-DOM LRU
 // (DiskOptions.MaxResidentDocs) retains trees.
 //
-// Each shard checkpoints durably (state.json + its flushed segment) every
-// CheckpointEvery documents, so a killed shard resumes from its last
-// checkpoint on the next BuildShardedFrom over the same directory and the
-// completed build is still byte-identical to an uninterrupted one.
+// Each shard checkpoints durably (its flushed segment, then a state.json
+// recording how far the range stands) every CheckpointEvery documents, so
+// a killed shard resumes from its last checkpoint on the next
+// BuildShardedFrom over the same directory — re-extracting its
+// accumulator from the segment's kept documents — and the completed build
+// is still byte-identical to an uninterrupted one.
 
 // ShardOptions configures BuildShardedFrom.
 type ShardOptions struct {

@@ -39,9 +39,10 @@ import (
 // With Config.CheckpointDir set the build is crash-resumable: the
 // directory holds the shard checkpoint — state.json plus the conv/ segment
 // of converted documents — written every 256 documents, and a later
-// BuildStream over the same source stream skips the already-processed
-// prefix and produces output byte-identical to an uninterrupted run. A
-// completed build removes the checkpoint.
+// BuildStream over the same source stream re-extracts the statistics of
+// the segment's kept documents, skips the already-processed prefix and
+// produces output byte-identical to an uninterrupted run. A completed
+// build removes the checkpoint.
 //
 // On context cancellation the build abandons its result and returns the
 // context error after the documents it accepted are folded (writing a

@@ -68,6 +68,9 @@ const (
 	// directory (a streaming build's CheckpointDir, a sharded build's
 	// shard-NNN).
 	StageCheckpoint = "checkpoint.write"
+	// StageCheckpointRestore times a resumed shard re-extracting its kept
+	// documents' statistics from its conv/ segment.
+	StageCheckpointRestore = "checkpoint.restore"
 	// StageServe times one served repository request in webrevd (all
 	// endpoints; the serve counters below split the traffic).
 	StageServe = "serve.request"

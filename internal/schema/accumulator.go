@@ -84,10 +84,6 @@ func NewDeltaAccumulator(repThreshold int) *Accumulator {
 // RepThreshold returns the repetition threshold the accumulator folds with.
 func (a *Accumulator) RepThreshold() int { return a.rep }
 
-// Delta reports whether the accumulator retains full sequence samples for
-// exact retirement (NewDeltaAccumulator).
-func (a *Accumulator) Delta() bool { return a.delta }
-
 // Docs returns the number of documents folded in so far.
 func (a *Accumulator) Docs() int { return a.docs }
 

@@ -5,7 +5,6 @@
 package schema
 
 import (
-	"sort"
 	"strings"
 
 	"webrev/internal/dom"
@@ -121,17 +120,6 @@ func ExtractTraced(root *dom.Node, tr obs.Tracer) *DocPaths {
 		tr.Add(obs.CtrPathsExtracted, int64(len(d.Paths)))
 	}
 	return d
-}
-
-// SortedPaths returns the document's paths in lexicographic order, mainly
-// for tests and diagnostics.
-func (d *DocPaths) SortedPaths() []string {
-	out := make([]string, 0, len(d.Paths))
-	for p := range d.Paths {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Split breaks a Sep-joined path into its labels.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -54,7 +55,11 @@ func TestExtractPaths(t *testing.T) {
 		"resume/education/institution",
 		"resume/objective",
 	}
-	if got := d.SortedPaths(); !reflect.DeepEqual(got, want) {
+	var got []string
+	for p := range d.Paths {
+		got = append(got, p)
+	}
+	if sort.Strings(got); !reflect.DeepEqual(got, want) {
 		t.Fatalf("paths = %v", got)
 	}
 	if d.Nodes != 7 {

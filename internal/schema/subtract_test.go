@@ -175,10 +175,7 @@ func TestSubtractDeltaJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(marshalAcc(t, acc), &restored); err != nil {
 		t.Fatal(err)
 	}
-	if !restored.Delta() {
-		t.Fatal("delta flag lost in JSON round trip")
-	}
-	if !reflect.DeepEqual(&restored, acc) {
+	if !reflect.DeepEqual(&restored, acc) { // the delta flag included
 		t.Fatal("restored delta accumulator differs")
 	}
 	if err := restored.Subtract(3, docs[3]); err != nil {

@@ -5,115 +5,107 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"strings"
 
 	"webrev/internal/core"
 	"webrev/internal/crawler"
 	"webrev/internal/repository"
-	"webrev/internal/schema"
-	"webrev/internal/xmlout"
 )
 
-// The watch state directory is version 2 of the state manifest: a
-// state.json manifest plus one doc-%08d.xml file per live converted
-// document, manifest written atomically (tmp + rename), doc files not
-// listed in the manifest ignored. The manifest carries the
-// continuous-operation state: the crawl validators (crawler.CrawlState),
-// the delta accumulator, the cycle ordinal, and the previous cycle's
-// derivation (supports, DTD text, per-site conformance) that the next
-// drift report diffs against.
+// The watch state directory is version 3 of the state manifest: a
+// state.json manifest plus one disk store (repository.DiskStore) of the
+// live documents. The manifest carries the continuous-operation state —
+// the crawl validators (crawler.CrawlState), the cycle ordinal, and the
+// previous cycle's derivation (supports, DTD text, per-site conformance)
+// that the next drift report diffs against — and names the store whose
+// first "stored" entries are the live documents in accumulator-index
+// order, each named by its URL. The delta accumulator is not persisted:
+// load re-extracts it from the documents.
 //
-// A build's version-1 shard checkpoint — what an interrupted BuildStream
-// with a CheckpointDir leaves behind — seeds a watcher: it carries the
-// build accumulator under "acc", and its documents are the first "stored"
-// entries of the conv/ disk segment beside it. The documents are restored,
-// their statistics re-extracted into a fresh delta accumulator, and the
-// crawl state starts empty, so the first cycle refetches everything and
-// classifies by content hash; the first save writes every migrated
-// document's doc file. A version-1 manifest without "acc" (the older form
-// that listed doc files) is rejected. The full format contract, including
-// the version bump policy, is documented in DESIGN.md ("Versioned
-// persistent formats").
+// A build's version-2 shard checkpoint — what an interrupted BuildStream
+// with a CheckpointDir leaves behind, recognised by its range fields —
+// seeds a watcher through the same load: its documents are the first
+// "stored" entries of the conv/ store beside it, and the crawl state
+// starts empty, so the first cycle refetches everything and classifies by
+// content hash. Older versions (the watch manifests that listed doc files
+// or carried an accumulator, and the version-1 shard checkpoint) are
+// rejected, naming their version. The full format contract, including the
+// version bump policy, is documented in DESIGN.md ("Versioned persistent
+// formats").
 
 // StateVersion is the watch state manifest version this package writes.
-const StateVersion = 2
+const StateVersion = 3
 
 // stateFileName is the manifest filename inside a state directory.
 const stateFileName = "state.json"
 
-// stateDoc is one live document's manifest entry.
-type stateDoc struct {
-	Idx int    `json:"idx"`
-	URL string `json:"url,omitempty"`
-}
+// storePrefix starts the name of every document store save writes, and
+// seedStore is the conv/ store of a build's shard checkpoint.
+const (
+	storePrefix = "docs-"
+	seedStore   = "conv"
+)
+
+// storeName names the document store the save of the given cycle writes.
+func storeName(cycle int) string { return fmt.Sprintf("%s%06d", storePrefix, cycle) }
 
 // stateManifest is the serialized form of a watch state directory's
-// state.json, covering the version it writes (2) and the version-1 shard
-// checkpoint fields it migrates from.
+// state.json, covering the version it writes (3) and the version-2 shard
+// checkpoint fields it seeds from.
 type stateManifest struct {
 	// Version guards the format; readers reject versions they don't know.
 	Version int `json:"version"`
 	// Cycle is the number of completed cycles.
 	Cycle int `json:"cycle,omitempty"`
-	// NextIdx is the next fresh accumulator index.
-	NextIdx int `json:"next_idx,omitempty"`
 	// Crawl holds the per-URL revalidation records.
 	Crawl *crawler.CrawlState `json:"crawl,omitempty"`
-	// Acc is the delta accumulator's JSON encoding (version 2), or, in a
-	// version-1 shard checkpoint, the build accumulator (discarded on
-	// migration).
-	Acc json.RawMessage `json:"acc,omitempty"`
-	// Stored is a version-1 shard checkpoint's document count: its
-	// documents are the first Stored entries of the conv/ segment.
-	Stored int `json:"stored,omitempty"`
-	// Docs lists the live documents; each entry's XML lives in doc-%08d.xml.
-	Docs []stateDoc `json:"docs"`
+	// Store names the document store, a directory beside state.json.
+	Store string `json:"store,omitempty"`
+	// Stored is the number of live documents: the store's first entries.
+	Stored int `json:"stored"`
 	// Supports is the previous cycle's path → support map.
 	Supports map[string]float64 `json:"supports,omitempty"`
 	// DTD is the previous cycle's rendered DTD text.
 	DTD string `json:"dtd,omitempty"`
 	// Sites is the previous cycle's per-site conformance aggregate.
 	Sites map[string]siteRate `json:"sites,omitempty"`
+	// End is a shard checkpoint's range end; only checkpoints carry it.
+	End *int `json:"end,omitempty"`
 }
 
-// docFile names the converted-XML file of accumulator index idx.
-func docFile(dir string, idx int) string {
-	return filepath.Join(dir, fmt.Sprintf("doc-%08d.xml", idx))
-}
-
-// save flushes the watcher's state to the state directory: dirty document
-// files first, then the manifest atomically, then retired document files
-// are removed. A crash between the doc writes and the rename leaves the
-// previous manifest authoritative — unreferenced doc files are ignored on
-// load.
+// save flushes the watcher's state to the state directory: every live
+// document into a new store, then the manifest naming it atomically (tmp +
+// rename), then every other store is removed — the previous one, a seed's
+// conv/, or one a killed save left behind. A crash at any point leaves the
+// previous manifest and its store intact; a store the removal misses is
+// swept by the next save.
 func (w *Watcher) save() error {
 	dir := w.opt.StateDir
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("watch: state dir: %w", err)
-	}
-	for idx, d := range w.dirty {
-		if err := os.WriteFile(docFile(dir, idx), []byte(xmlout.Marshal(d.XML)), 0o644); err != nil {
-			return fmt.Errorf("watch: state doc write: %w", err)
-		}
-	}
-	accJSON, err := json.Marshal(w.acc)
-	if err != nil {
-		return fmt.Errorf("watch: state encode: %w", err)
-	}
 	m := stateManifest{
 		Version:  StateVersion,
 		Cycle:    w.cycle,
-		NextIdx:  w.next,
 		Crawl:    w.crawl,
-		Acc:      accJSON,
+		Store:    storeName(w.cycle),
+		Stored:   len(w.docs),
 		Supports: w.prevSupports,
 		DTD:      w.prevDTD,
 		Sites:    w.prevSites,
 	}
-	for u, e := range w.docs {
-		m.Docs = append(m.Docs, stateDoc{Idx: e.idx, URL: u})
+	store, err := repository.CreateDiskStore(filepath.Join(dir, m.Store), repository.DiskOptions{MaxResidentDocs: -1})
+	if err != nil {
+		return fmt.Errorf("watch: state store: %w", err)
 	}
-	sort.Slice(m.Docs, func(i, j int) bool { return m.Docs[i].Idx < m.Docs[j].Idx })
+	for _, e := range w.entries() {
+		if err == nil {
+			err = store.Append(e.doc.Source, e.doc.XML)
+		}
+	}
+	if cerr := store.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("watch: state store: %w", err)
+	}
 	data, err := json.MarshalIndent(m, "", " ")
 	if err != nil {
 		return fmt.Errorf("watch: state encode: %w", err)
@@ -125,19 +117,20 @@ func (w *Watcher) save() error {
 	if err := os.Rename(tmp, filepath.Join(dir, stateFileName)); err != nil {
 		return fmt.Errorf("watch: state write: %w", err)
 	}
-	for idx := range w.removed {
-		os.Remove(docFile(dir, idx))
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		if n := e.Name(); n != m.Store && (n == seedStore || strings.HasPrefix(n, storePrefix)) {
+			os.RemoveAll(filepath.Join(dir, n))
+		}
 	}
-	w.dirty = make(map[int]*core.Document)
-	w.removed = make(map[int]bool)
 	return nil
 }
 
 // load restores the watcher from its state directory. A missing manifest is
-// a fresh start, not an error. Version 2 restores everything; a version-1
-// shard checkpoint migrates — documents restore from its conv/ segment,
-// statistics re-extract into a fresh delta accumulator, and the crawl
-// state starts empty.
+// a fresh start, not an error. A version-3 manifest or a version-2 shard
+// checkpoint names a store; its first Stored documents become the live
+// corpus under indices 0..Stored-1, each folded into the fresh delta
+// accumulator.
 func (w *Watcher) load() error {
 	dir := w.opt.StateDir
 	data, err := os.ReadFile(filepath.Join(dir, stateFileName))
@@ -151,62 +144,39 @@ func (w *Watcher) load() error {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return fmt.Errorf("watch: state decode: %w", err)
 	}
-	if m.Version == 1 && len(m.Acc) > 0 {
-		// The checkpoint's own accumulator is not delta-capable; it is
-		// discarded and the statistics re-extracted.
-		if err := w.loadSegment(filepath.Join(dir, "conv"), m.Stored); err != nil {
-			return err
-		}
-		w.next = m.Stored
-		for _, e := range w.docs {
-			w.acc.Add(e.idx, w.opt.Pipeline.ExtractPaths(e.doc))
-		}
-		return nil
+	switch {
+	case m.Version == 2 && m.End != nil:
+		m.Store = seedStore
+	case m.Version != StateVersion:
+		return fmt.Errorf("watch: state version %d not supported (want %d or a version-2 shard checkpoint)", m.Version, StateVersion)
+	case m.Store != storeName(m.Cycle):
+		// The name comes from a file: only the one save writes is opened.
+		return fmt.Errorf("watch: state store %q is not cycle %d's", m.Store, m.Cycle)
 	}
-	if m.Version != StateVersion {
-		return fmt.Errorf("watch: state version %d not supported (want %d or a version-1 shard checkpoint)", m.Version, StateVersion)
+	store, err := repository.OpenDiskStore(filepath.Join(dir, m.Store), repository.DiskOptions{MaxResidentDocs: -1})
+	if err != nil {
+		return fmt.Errorf("watch: state store: %w", err)
 	}
-
-	maxIdx := -1
-	for _, sd := range m.Docs {
-		xml, err := os.ReadFile(docFile(dir, sd.Idx))
+	defer store.Close()
+	if m.Stored < 0 || m.Stored > store.Len() {
+		return fmt.Errorf("watch: state store holds %d documents, manifest expects %d", store.Len(), m.Stored)
+	}
+	for i := 0; i < m.Stored; i++ {
+		root, err := store.Doc(i)
 		if err != nil {
-			return fmt.Errorf("watch: state doc %d: %w", sd.Idx, err)
+			return fmt.Errorf("watch: state doc %d: %w", i, err)
 		}
-		root, err := xmlout.UnmarshalElement(string(xml))
-		if err != nil {
-			return fmt.Errorf("watch: state doc %d: %w", sd.Idx, err)
+		name := store.Name(i)
+		if name == "" || w.docs[name] != nil {
+			return fmt.Errorf("watch: state doc %d: missing or duplicate name %q", i, name)
 		}
-		if sd.URL == "" || w.docs[sd.URL] != nil {
-			return fmt.Errorf("watch: state doc %d: missing or duplicate name %q", sd.Idx, sd.URL)
-		}
-		w.docs[sd.URL] = &docEntry{idx: sd.Idx, doc: &core.Document{Source: sd.URL, XML: root}}
-		if sd.Idx > maxIdx {
-			maxIdx = sd.Idx
-		}
+		d := &core.Document{Source: name, XML: root}
+		w.docs[name] = &docEntry{idx: i, doc: d}
+		w.acc.Add(i, w.opt.Pipeline.ExtractPaths(d))
 	}
-
-	w.cycle = m.Cycle
-	w.next = m.NextIdx
-	if w.next <= maxIdx {
-		w.next = maxIdx + 1
-	}
+	w.cycle, w.next = m.Cycle, m.Stored
 	if m.Crawl != nil && m.Crawl.Pages != nil {
 		w.crawl = m.Crawl
-	}
-	if len(m.Acc) > 0 {
-		acc := &schema.Accumulator{}
-		if err := json.Unmarshal(m.Acc, acc); err != nil {
-			return fmt.Errorf("watch: state decode: %w", err)
-		}
-		if !acc.Delta() {
-			return fmt.Errorf("watch: state accumulator is not delta-capable")
-		}
-		if acc.Docs() != len(w.docs) {
-			return fmt.Errorf("watch: state accumulator folds %d documents, manifest lists %d",
-				acc.Docs(), len(w.docs))
-		}
-		w.acc = acc
 	}
 	if m.Supports != nil {
 		w.prevSupports = m.Supports
@@ -214,34 +184,6 @@ func (w *Watcher) load() error {
 	w.prevDTD = m.DTD
 	if m.Sites != nil {
 		w.prevSites = m.Sites
-	}
-	return nil
-}
-
-// loadSegment restores the first n documents of the disk segment in dir —
-// a version-1 shard checkpoint's conv/ store — as live documents indexed by
-// segment position, marked dirty so the next save writes their doc files.
-func (w *Watcher) loadSegment(dir string, n int) error {
-	seg, err := repository.OpenDiskStore(dir, repository.DiskOptions{MaxResidentDocs: -1})
-	if err != nil {
-		return fmt.Errorf("watch: state segment: %w", err)
-	}
-	defer seg.Close()
-	if seg.Len() < n {
-		return fmt.Errorf("watch: state segment holds %d documents, checkpoint expects %d", seg.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		root, err := seg.Doc(i)
-		if err != nil {
-			return fmt.Errorf("watch: state segment doc %d: %w", i, err)
-		}
-		name := seg.Name(i)
-		if name == "" || w.docs[name] != nil {
-			return fmt.Errorf("watch: state segment doc %d: missing or duplicate name %q", i, name)
-		}
-		d := &core.Document{Source: name, XML: root}
-		w.docs[name] = &docEntry{idx: i, doc: d}
-		w.dirty[i] = d
 	}
 	return nil
 }

@@ -14,10 +14,12 @@
 // models changed, and per-site conformance movement — the operator's signal
 // that a source site redesigned its templates.
 //
-// State persists between process lives in a versioned directory manifest
-// (see state.go): the crawl validators, the delta accumulator, and every
-// live converted document. A Watcher pointed at an existing state directory
-// resumes exactly where the previous one stopped.
+// State persists between process lives in a versioned state directory
+// (see state.go): a manifest of the crawl validators and the previous
+// derivation, plus a disk store of every live converted document, from
+// which the delta accumulator is re-extracted on load. A Watcher pointed
+// at an existing state directory resumes exactly where the previous one
+// stopped.
 package watch
 
 import (
@@ -80,10 +82,6 @@ type Watcher struct {
 	prevSupports map[string]float64
 	prevDTD      string
 	prevSites    map[string]siteRate
-
-	// Pending state-directory mutations, flushed by save.
-	dirty   map[int]*core.Document
-	removed map[int]bool
 }
 
 // Result is one completed cycle's output.
@@ -100,8 +98,8 @@ type Result struct {
 }
 
 // New returns a Watcher over opt, resuming from opt.StateDir when it holds
-// a previous life's state (either the watch format or a version-1 build
-// checkpoint, which migrates — see load in state.go).
+// a previous life's state (either the watch format or a build's shard
+// checkpoint, which seeds it — see load in state.go).
 func New(opt Options) (*Watcher, error) {
 	if opt.Pipeline == nil || opt.Crawler == nil || opt.Seed == "" {
 		return nil, fmt.Errorf("watch: Pipeline, Crawler, and Seed are required")
@@ -114,8 +112,6 @@ func New(opt Options) (*Watcher, error) {
 		docs:         make(map[string]*docEntry),
 		prevSupports: make(map[string]float64),
 		prevSites:    make(map[string]siteRate),
-		dirty:        make(map[int]*core.Document),
-		removed:      make(map[int]bool),
 	}
 	if opt.StateDir != "" {
 		if err := w.load(); err != nil {
@@ -153,14 +149,12 @@ func (w *Watcher) entries() []*docEntry {
 }
 
 // retire removes one live document: its statistics leave the accumulator
-// and its persisted file is marked for removal.
+// and the next save no longer writes it.
 func (w *Watcher) retire(u string, e *docEntry) error {
 	if err := w.acc.Subtract(e.idx, w.opt.Pipeline.ExtractPaths(e.doc)); err != nil {
 		return fmt.Errorf("watch: retire %s: %w", u, err)
 	}
 	delete(w.docs, u)
-	delete(w.dirty, e.idx)
-	w.removed[e.idx] = true
 	return nil
 }
 
@@ -229,22 +223,20 @@ func (w *Watcher) Cycle(ctx context.Context) (*Result, error) {
 				}
 				ent.doc = d
 				w.acc.Add(ent.idx, w.opt.Pipeline.ExtractPaths(d))
-				w.dirty[ent.idx] = d
 				delta.Changed++
 			} else {
 				e := &docEntry{idx: w.next, doc: d}
 				w.next++
 				w.docs[pg.URL] = e
 				w.acc.Add(e.idx, w.opt.Pipeline.ExtractPaths(d))
-				w.dirty[e.idx] = d
 				delta.New++
 			}
 		}
 	}
 
 	// Corpus sweep: on a complete crawl every live document must have a
-	// crawl record; entries without one are left over from a migrated or
-	// inconsistent state and retire now.
+	// crawl record; entries without one are left over from a seeding shard
+	// checkpoint or an inconsistent state and retire now.
 	if complete(rep) {
 		var orphans []string
 		for u := range w.docs {
