@@ -17,7 +17,7 @@ import (
 )
 
 // benchStreamDocs sizes the benchmark corpus: small under -short (the
-// `make check` smoke leg), the E9 corpus size otherwise.
+// `make check` smoke leg), 100 documents otherwise.
 func benchStreamDocs(b *testing.B) int {
 	if testing.Short() {
 		return 20

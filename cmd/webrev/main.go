@@ -11,10 +11,10 @@
 //	webrev query    -repo DIR 'EXPR'
 //	webrev quarantine -dir DIR [list|replay]           # inspect / replay failed documents
 //	webrev watch -seed URL [-checkpoint DIR] [-cycles N] [-interval 15m] [-drift FILE] [-out dir]
-//	webrev experiments [-run E1,...] [-docs N] [-seed N] [-metrics snap.json] [-pprof addr]
+//	webrev experiments [-run E1,...] [-docs N] [-seed N]
 //
-// build and experiments take observability flags: -metrics FILE writes a
-// JSON snapshot of per-stage timings and counters, and -pprof ADDR serves
+// build and watch take observability flags: -metrics FILE writes a JSON
+// snapshot of per-stage timings and counters, and -pprof ADDR serves
 // /debug/pprof, /debug/vars and /metrics on ADDR for the duration of the
 // run.
 package main
@@ -27,6 +27,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -81,7 +82,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `usage: webrev <command> [flags] [files]
+	fmt.Fprintf(os.Stderr, `usage: webrev <command> [flags] [files]
 
 commands:
   convert      transform HTML files into concept-tagged XML
@@ -96,11 +97,11 @@ commands:
   quarantine   list documents a build quarantined, or replay them after a fix
   watch        continuous operation: recrawl a site on a cadence, fold deltas,
                and report schema drift (state persists in -checkpoint DIR)
-  experiments  regenerate the paper's evaluation (E1-E10, E12-E14)
+  experiments  regenerate the paper's evaluation (%s)
 
-build and experiments accept -metrics FILE (JSON stage-metrics snapshot)
-and -pprof ADDR (live /debug/pprof + /metrics endpoint).
-`)
+build and watch accept -metrics FILE (JSON stage-metrics snapshot) and
+-pprof ADDR (live /debug/pprof + /metrics endpoint).
+`, strings.Join(experimentIDs(), ", "))
 }
 
 func newPipeline(root string, sup, ratio float64) (*core.Pipeline, error) {
@@ -452,109 +453,76 @@ func cmdWatch(args []string, w io.Writer) error {
 	return finish()
 }
 
+// reporter is what every experiment runner returns: a result that renders
+// its own report.
+type reporter interface{ Report() string }
+
+// experimentTable lists every experiment id `webrev experiments` knows, in
+// the order it runs them, with its default corpus size (which -docs
+// replaces) and its runner.
+var experimentTable = []struct {
+	id   string
+	docs int
+	run  func(docs int, seed int64) (reporter, error)
+}{
+	{"E1", 50, func(n int, seed int64) (reporter, error) { return experiments.RunAccuracy(n, seed), nil }},
+	{"E2", 100, func(n int, seed int64) (reporter, error) { return experiments.RunConstraints(n, seed), nil }},
+	{"E3", 0, func(n int, seed int64) (reporter, error) {
+		sizes := []int{20, 50, 100, 190, 380} // without -docs: Figure 5's range
+		if n > 0 {
+			sizes = []int{n / 4, n / 2, n}
+		}
+		return experiments.RunScalability(sizes, seed), nil
+	}},
+	{"E4", 1400, func(n int, seed int64) (reporter, error) { return experiments.RunSampleDTD(n, seed), nil }},
+	{"E5", 200, func(n int, seed int64) (reporter, error) { return experiments.RunSchemaComparison(n, seed), nil }},
+	{"E6", 80, func(n int, seed int64) (reporter, error) { return experiments.RunClassifier(n/2, n/2, seed), nil }},
+	{"E7", 40, func(n int, seed int64) (reporter, error) { return experiments.RunRobustness(n, 0.2, seed) }},
+	{"E10", 60, func(n int, seed int64) (reporter, error) {
+		return experiments.RunFaultTolerance(n, []float64{0, 0.1, 0.25, 0.75}, 0, seed)
+	}},
+	{"E13", 40, func(n int, seed int64) (reporter, error) {
+		return experiments.RunDriftDetection(n, []float64{0, 0.05, 0.1, 0.2, 0.4}, seed)
+	}},
+}
+
+// experimentIDs returns the ids of experimentTable, in order.
+func experimentIDs() []string {
+	ids := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// cmdExperiments runs the -run ids of experimentTable, in table order.
+// Every id is checked before anything runs, so a typo or a retired id
+// fails instead of silently running nothing.
 func cmdExperiments(args []string, w io.Writer) error {
+	ids := experimentIDs()
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
-	run := fs.String("run", "E1,E2,E3,E4,E5,E6,E7,E8,E9,E10,E12,E13,E14", "comma-separated experiment ids")
+	run := fs.String("run", strings.Join(ids, ","), "comma-separated experiment ids")
 	docs := fs.Int("docs", 0, "override corpus size (0 = per-experiment default)")
 	seed := fs.Int64("seed", 1, "corpus seed")
-	metricsOut, pprofAddr := obsFlags(fs)
 	fs.Parse(args)
 	want := map[string]bool{}
 	for _, id := range strings.Split(*run, ",") {
-		want[strings.ToUpper(strings.TrimSpace(id))] = true
+		id = strings.TrimSpace(id)
+		if !slices.Contains(ids, strings.ToUpper(id)) {
+			return fmt.Errorf("usage: webrev experiments [-run ID,...]: unknown experiment %q (valid: %s)",
+				id, strings.Join(ids, ", "))
+		}
+		want[strings.ToUpper(id)] = true
 	}
-	n := func(def int) int {
+	for _, e := range experimentTable {
+		if !want[e.id] {
+			continue
+		}
+		n := e.docs
 		if *docs > 0 {
-			return *docs
+			n = *docs
 		}
-		return def
-	}
-	if want["E1"] {
-		fmt.Fprintln(w, experiments.RunAccuracy(n(50), *seed).Report())
-	}
-	if want["E2"] {
-		fmt.Fprintln(w, experiments.RunConstraints(n(100), *seed).Report())
-	}
-	if want["E3"] {
-		sizes := []int{20, 50, 100, 190, 380}
-		if *docs > 0 {
-			sizes = []int{*docs / 4, *docs / 2, *docs}
-		}
-		fmt.Fprintln(w, experiments.RunScalability(sizes, *seed).Report())
-	}
-	if want["E4"] {
-		fmt.Fprintln(w, experiments.RunSampleDTD(n(1400), *seed).Report())
-	}
-	if want["E5"] {
-		fmt.Fprintln(w, experiments.RunSchemaComparison(n(200), *seed).Report())
-	}
-	if want["E6"] {
-		fmt.Fprintln(w, experiments.RunClassifier(n(80)/2, n(80)/2, *seed).Report())
-	}
-	if want["E7"] {
-		r, err := experiments.RunRobustness(n(40), 0.2, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, r.Report())
-	}
-	if want["E8"] {
-		coll := obs.NewCollector()
-		finish, err := startObs(coll, *metricsOut, *pprofAddr, w)
-		if err != nil {
-			return err
-		}
-		r, err := experiments.RunStageMetrics(n(100), *seed, coll)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, r.Report())
-		if err := finish(); err != nil {
-			return err
-		}
-	}
-	if want["E9"] {
-		coll := obs.NewCollector()
-		finish, err := startObs(coll, *metricsOut, *pprofAddr, w)
-		if err != nil {
-			return err
-		}
-		r, err := experiments.RunStreamComparison(n(100), *seed, coll)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, r.Report())
-		if err := finish(); err != nil {
-			return err
-		}
-	}
-	if want["E10"] {
-		r, err := experiments.RunFaultTolerance(n(60), []float64{0, 0.1, 0.25, 0.75}, 0, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, r.Report())
-	}
-	if want["E13"] {
-		r, err := experiments.RunDriftDetection(n(40), []float64{0, 0.05, 0.1, 0.2, 0.4}, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, r.Report())
-	}
-	if want["E12"] {
-		sizes := []int{20, 50, 100, 200}
-		if *docs > 0 {
-			sizes = []int{*docs / 4, *docs / 2, *docs}
-		}
-		r, err := experiments.RunHotPath(sizes, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, r.Report())
-	}
-	if want["E14"] {
-		r, err := experiments.RunOverloadSweep(n(40), []int{2, 8, 32}, []int{1, 2, 4}, time.Second, *seed)
+		r, err := e.run(n, *seed)
 		if err != nil {
 			return err
 		}

@@ -191,7 +191,7 @@ func TestCmdBuildSourcesAgree(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	var out strings.Builder
-	if err := cmdBuild([]string{"-n", "20", "-seed", "1", "-verify"}, &out); err != nil {
+	if err := cmdBuild([]string{"-n", "20", "-seed", "1", "-shards", "3", "-verify"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "byte-identical to single-process build (20 documents)") {
@@ -204,6 +204,27 @@ func TestCmdBuildSourcesAgree(t *testing.T) {
 		{"-shards", "0", "-n", "2"}, {"-shards", "-1", "-n", "2"}} {
 		if err := cmdBuild(args, io.Discard); err == nil {
 			t.Fatalf("build %v accepted", args)
+		}
+	}
+}
+
+// TestCmdBuildGeneratedSources: the -n provider's documents are the
+// per-index seeded resumes a fresh generator produces, although every
+// index shares one compiled concept set.
+func TestCmdBuildGeneratedSources(t *testing.T) {
+	const seed = 7
+	total, at, err := buildSources(nil, "", 20, seed)
+	if err != nil || total != 20 {
+		t.Fatalf("buildSources: total %d, err %v", total, err)
+	}
+	for i := 0; i < total; i++ {
+		got, err := at(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := corpus.New(corpus.Options{Seed: seed + int64(i)*1000003}).Resume().HTML
+		if got.HTML != want {
+			t.Fatalf("document %d differs from a fresh generator's resume", i)
 		}
 	}
 }
@@ -259,18 +280,41 @@ func TestCmdBuildMetricsSnapshot(t *testing.T) {
 	}
 }
 
-func TestCmdExperimentsE8Metrics(t *testing.T) {
-	snapPath := filepath.Join(t.TempDir(), "bench.json")
-	var out strings.Builder
-	err := cmdExperiments([]string{"-run", "E8", "-docs", "8", "-seed", "3", "-metrics", snapPath}, &out)
+// TestCmdExperimentsUnknownID: an id outside the experiment table fails
+// with a usage error naming it, before any experiment runs.
+func TestCmdExperimentsUnknownID(t *testing.T) {
+	for _, id := range []string{"E11", "E8", "e99"} {
+		var out strings.Builder
+		err := cmdExperiments([]string{"-run", "E1," + id, "-docs", "4"}, &out)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", id)) || !strings.Contains(err.Error(), "E13") {
+			t.Fatalf("-run E1,%s: err = %v, want a usage error naming %q and the valid ids", id, err, id)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-run E1,%s ran experiments before failing:\n%s", id, out.String())
+		}
+	}
+}
+
+// TestExperimentsDocMatchesReports: EXPERIMENTS.md quotes the reports of
+// the deterministic experiments (E1, E2, E4, E5, E6 at their default sizes
+// and seed 1) verbatim, each as one fenced block.
+func TestExperimentsDocMatchesReports(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "E8 —") || !strings.Contains(out.String(), "counters:") {
-		t.Fatalf("E8 output:\n%s", out.String())
+	var out strings.Builder
+	if err := cmdExperiments([]string{"-run", "E1,E2,E4,E5,E6"}, &out); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(snapPath); err != nil {
-		t.Fatalf("snapshot not written: %v", err)
+	reports := strings.Split(strings.TrimSuffix(out.String(), "\n\n"), "\n\n")
+	if len(reports) != 5 {
+		t.Fatalf("got %d reports, want 5:\n%s", len(reports), out.String())
+	}
+	for _, rep := range reports {
+		if block := "```\n" + rep + "\n```\n"; !strings.Contains(string(doc), block) {
+			t.Errorf("EXPERIMENTS.md does not quote this report as a fenced block:\n%s", block)
+		}
 	}
 }
 

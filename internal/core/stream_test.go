@@ -89,18 +89,19 @@ func TestBuildStreamInFlightBounded(t *testing.T) {
 	if _, err := p.BuildStream(context.Background(), SourceChan(streamSources(40, 5))); err != nil {
 		t.Fatal(err)
 	}
-	peak := coll.Gauge(obs.GaugeStreamInFlightPeak)
+	snap := coll.Snapshot()
+	peak := snap.Gauges[obs.GaugeStreamInFlightPeak]
 	if peak < 1 || peak > 3 {
 		t.Fatalf("peak in-flight = %d, want within (0, 3]", peak)
 	}
-	if cur := coll.Gauge(obs.GaugeStreamInFlight); cur != 0 {
+	if cur := snap.Gauges[obs.GaugeStreamInFlight]; cur != 0 {
 		t.Fatalf("in-flight gauge = %d after build, want 0", cur)
 	}
-	if shards := coll.Gauge(obs.GaugeStreamShards); shards != 3 {
+	if shards := snap.Gauges[obs.GaugeStreamShards]; shards != 3 {
 		// Workers are clamped down to the cap.
 		t.Fatalf("shards gauge = %d, want 3", shards)
 	}
-	if st, ok := coll.Stage(obs.StageMerge); !ok || st.Count != 1 {
+	if st, ok := snap.Stages[obs.StageMerge]; !ok || st.Count != 1 {
 		t.Fatalf("merge stage not recorded: %+v ok=%v", st, ok)
 	}
 }
@@ -152,15 +153,14 @@ func TestExtractPathsOnce(t *testing.T) {
 	if afterFirst == 0 {
 		t.Fatal("first mine extracted nothing")
 	}
-	st, _ := coll.Stage(obs.StageExtract)
-	if st.Count != 10 {
+	if st := coll.Snapshot().Stages[obs.StageExtract]; st.Count != 10 {
 		t.Fatalf("extract spans = %d, want one per document (10)", st.Count)
 	}
 	s2 := p.DiscoverSchema(docs)
 	if got := coll.Counter(obs.CtrPathsExtracted); got != afterFirst {
 		t.Fatalf("second mine re-extracted: counter %d -> %d", afterFirst, got)
 	}
-	if st, _ := coll.Stage(obs.StageExtract); st.Count != 10 {
+	if st := coll.Snapshot().Stages[obs.StageExtract]; st.Count != 10 {
 		t.Fatalf("extract spans after second mine = %d, want 10", st.Count)
 	}
 	if s1.String() != s2.String() {

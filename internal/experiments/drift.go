@@ -184,7 +184,7 @@ func (r DriftDetectionResult) Report() string {
 			row.IncrementalWall.Round(time.Millisecond), row.FullWall.Round(time.Millisecond))
 	}
 	b.WriteString("  detection holds when changed == mutated and detect == 1 cyc for every\n")
-	b.WriteString("  non-zero rate; the incremental cycle should stay under the full rebuild\n")
-	b.WriteString("  as the corpus grows (the cycle refetches only what changed).\n")
+	b.WriteString("  non-zero rate; incremental is the detecting cycle's wall time, full a\n")
+	b.WriteString("  cold rebuild of the same corpus state.\n")
 	return b.String()
 }

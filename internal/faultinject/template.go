@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"strings"
-	"sync"
 )
 
 // Template-mutation injection: the failure mode the watch loop exists to
@@ -74,12 +73,10 @@ type TemplateConfig struct {
 }
 
 // Template deterministically mutates page HTML to simulate a site redesign.
-// A nil *Template is valid and mutates nothing. Safe for concurrent use.
+// A nil *Template is valid and mutates nothing. Safe for concurrent use: it
+// holds only its configuration.
 type Template struct {
 	cfg TemplateConfig
-
-	mu      sync.Mutex
-	applied map[TemplateOp]int
 }
 
 // NewTemplate returns a template mutator under cfg.
@@ -90,7 +87,7 @@ func NewTemplate(cfg TemplateConfig) *Template {
 			TemplateDuplicateSection, TemplateWrapBody,
 		}
 	}
-	return &Template{cfg: cfg, applied: make(map[TemplateOp]int)}
+	return &Template{cfg: cfg}
 }
 
 // keyRNG derives a deterministic rng from a seed and a key path — the same
@@ -135,24 +132,7 @@ func (t *Template) Mutate(key, html string) (string, TemplateOp) {
 	if !ok {
 		return html, TemplateNone
 	}
-	t.mu.Lock()
-	t.applied[op]++
-	t.mu.Unlock()
 	return out, op
-}
-
-// Applied returns a copy of the per-op tally of mutations applied so far.
-func (t *Template) Applied() map[TemplateOp]int {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[TemplateOp]int, len(t.applied))
-	for k, n := range t.applied {
-		out[k] = n
-	}
-	return out
 }
 
 // sections locates the <h2>-delimited sections of html: each element of the

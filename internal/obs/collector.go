@@ -102,30 +102,11 @@ func (c *Collector) Set(name string, v int64) {
 // Enabled reports that this tracer records.
 func (c *Collector) Enabled() bool { return true }
 
-// Stage returns a copy of the named stage's aggregate and whether it was
-// ever recorded.
-func (c *Collector) Stage(name string) (StageStats, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.stages[name]
-	if !ok {
-		return StageStats{}, false
-	}
-	return *st, true
-}
-
 // Counter returns the named counter's value (0 when never incremented).
 func (c *Collector) Counter(name string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.counters[name]
-}
-
-// Gauge returns the named gauge's value (0 when never set).
-func (c *Collector) Gauge(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gauges[name]
 }
 
 // SetMax raises the named gauge to v if v is larger — the high-water-mark

@@ -48,7 +48,7 @@ func TestCollectorRecords(t *testing.T) {
 	c.Add(CtrPathsFrequent, 3)
 	c.Set("workers", 8)
 
-	st, ok := c.Stage(StageMine)
+	st, ok := c.Snapshot().Stages[StageMine]
 	if !ok {
 		t.Fatal("stage not recorded")
 	}
@@ -81,8 +81,7 @@ func TestCollectorConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st, _ := c.Stage(StageConvert)
-	if st.Count != 1600 {
+	if st := c.Snapshot().Stages[StageConvert]; st.Count != 1600 {
 		t.Fatalf("span count = %d, want 1600", st.Count)
 	}
 	if got := c.Counter(CtrDocsConverted); got != 1600 {

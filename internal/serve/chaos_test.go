@@ -37,11 +37,14 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out after %v waiting for %s", d, what)
 }
 
-// TestChaosOverloadShedsBoundedP99 drives roughly 4x the server's admitted
-// capacity into a tight in-flight limit with slowed (delay-injected)
-// handlers. Admission control must shed the excess with 503s while the
-// requests it does admit keep a bounded p99 — the in-flight cap, not the
-// offered load, sets the latency.
+// TestChaosOverloadShedsBoundedP99 drives the same server first at its
+// admitted concurrency (slots + queue positions) and then at 4x it, into a
+// tight in-flight limit with slowed (delay-injected) handlers. At either
+// load admission control must answer without errors, admit work, keep the
+// admitted p99 bounded and the in-flight count under the cap; under
+// overload it sheds the excess with 503s — a larger share than at 1x —
+// while goodput holds: the in-flight cap, not the offered load, sets the
+// latency and the admitted rate.
 func TestChaosOverloadShedsBoundedP99(t *testing.T) {
 	const maxInFlight = 4
 	faults := faultinject.NewStage(faultinject.StageConfig{
@@ -60,36 +63,49 @@ func TestChaosOverloadShedsBoundedP99(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	res, err := LoadTest(s, ts.URL, LoadOptions{
-		// 4x the full admitted concurrency (slots + queue positions).
-		Clients:  4 * (maxInFlight + maxInFlight),
-		Duration: 600 * time.Millisecond,
-		Workload: []string{"/api/count?q=" + url.QueryEscape("//institution")},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var runs [2]*LoadResult
+	for i, mult := range []int{1, 4} {
+		shedBefore := s.Stats().Shed
+		res, err := LoadTest(s, ts.URL, LoadOptions{
+			Clients:  mult * (maxInFlight + maxInFlight),
+			Duration: 600 * time.Millisecond,
+			Workload: []string{"/api/count?q=" + url.QueryEscape("//institution")},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Admitted == 0 {
+			t.Fatalf("%dx load admitted nothing: %s", mult, res)
+		}
+		if res.Errors != 0 {
+			t.Fatalf("%dx load produced %d non-shed errors: %s", mult, res.Errors, res)
+		}
+		// Admitted latency is bounded by queue wait + injected delay +
+		// handler work; 250ms is an order of magnitude of slack over that,
+		// and far below what unbounded queueing at 4x would produce.
+		if res.P99 > 250*time.Millisecond {
+			t.Fatalf("%dx load admitted p99 = %v, want bounded: %s", mult, res.P99, res)
+		}
+		st := s.Stats()
+		if st.InFlightPeak > maxInFlight {
+			t.Fatalf("in-flight peak %d exceeded the cap %d", st.InFlightPeak, maxInFlight)
+		}
+		if st.Shed-shedBefore != res.Shed {
+			t.Fatalf("%dx load: stats shed %d != load result shed %d", mult, st.Shed-shedBefore, res.Shed)
+		}
+		runs[i] = res
 	}
-	if res.Shed == 0 {
-		t.Fatalf("4x overload shed nothing: %s", res)
+	atCap, over := runs[0], runs[1]
+	if over.Shed == 0 {
+		t.Fatalf("4x overload shed nothing: %s", over)
 	}
-	if res.Admitted == 0 {
-		t.Fatalf("overload admitted nothing: %s", res)
+	if over.ShedRate() <= atCap.ShedRate() {
+		t.Fatalf("shed rate did not grow with load: %.2f at 1x vs %.2f at 4x", atCap.ShedRate(), over.ShedRate())
 	}
-	if res.Errors != 0 {
-		t.Fatalf("overload produced %d non-shed errors: %s", res.Errors, res)
-	}
-	// Admitted latency is bounded by queue wait + injected delay + handler
-	// work; 250ms is an order of magnitude of slack over that, and far
-	// below what unbounded queueing at this load would produce.
-	if res.P99 > 250*time.Millisecond {
-		t.Fatalf("admitted p99 = %v, want bounded under overload: %s", res.P99, res)
-	}
-	st := s.Stats()
-	if st.InFlightPeak > maxInFlight {
-		t.Fatalf("in-flight peak %d exceeded the cap %d", st.InFlightPeak, maxInFlight)
-	}
-	if st.Shed != res.Shed {
-		t.Fatalf("stats shed %d != load result shed %d", st.Shed, res.Shed)
+	// Goodput must not collapse under overload: 4x keeps at least a third
+	// of the at-capacity goodput.
+	if over.Goodput < atCap.Goodput/3 {
+		t.Fatalf("goodput collapsed under overload: %.0f/s at 1x vs %.0f/s at 4x", atCap.Goodput, over.Goodput)
 	}
 }
 

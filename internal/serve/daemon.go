@@ -87,10 +87,6 @@ func NewDaemon(s *Server, opts DaemonOptions) *Daemon {
 	return d
 }
 
-// HTTPServer exposes the underlying configured http.Server (read-only use:
-// inspecting the applied timeouts).
-func (d *Daemon) HTTPServer() *http.Server { return d.hs }
-
 // Serve accepts connections on ln until Drain is called, then returns the
 // drain's outcome: nil when every in-flight request finished inside
 // DrainTimeout, the shutdown error otherwise. A listener failure before

@@ -17,7 +17,7 @@ func TestDaemonAppliesListenerHardening(t *testing.T) {
 		ReadHeaderTimeout: 7 * time.Second,
 		MaxHeaderBytes:    4096,
 	})
-	hs := d.HTTPServer()
+	hs := d.hs
 	if hs.ReadHeaderTimeout != 7*time.Second {
 		t.Errorf("ReadHeaderTimeout = %v, want 7s", hs.ReadHeaderTimeout)
 	}

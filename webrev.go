@@ -23,7 +23,6 @@ import (
 	"webrev/internal/dom"
 	"webrev/internal/obs"
 	"webrev/internal/repository"
-	"webrev/internal/serve"
 	"webrev/internal/xmlout"
 )
 
@@ -156,37 +155,6 @@ const (
 // document against its SHA-256 and the DTD, and returns the repository in
 // memory with its path index built.
 func LoadRepository(dir string) (*XMLRepository, error) { return repository.Load(dir) }
-
-// Re-exported serving layer (cmd/webrevd's engine; see ARCHITECTURE.md §6).
-// All reads are lock-free against an immutable snapshot; Swap and Reload
-// replace the snapshot atomically under live traffic.
-type (
-	// RepositoryServer answers repository queries over HTTP from an
-	// immutable snapshot behind an atomic pointer.
-	RepositoryServer = serve.Server
-	// ServeOptions configures NewRepositoryServer (caches, result caps,
-	// the reload source).
-	ServeOptions = serve.Options
-	// ServeStats is the RepositoryServer's /api/stats payload: request
-	// totals, cache hit rates, and the serving generation.
-	ServeStats = serve.Stats
-	// LoadOptions parameterizes LoadTestServer.
-	LoadOptions = serve.LoadOptions
-	// LoadResult reports a load test's latency percentiles and throughput.
-	LoadResult = serve.LoadResult
-)
-
-// NewRepositoryServer builds an HTTP server over a repository snapshot.
-func NewRepositoryServer(repo *XMLRepository, opts ServeOptions) *RepositoryServer {
-	return serve.NewServer(repo, opts)
-}
-
-// LoadTestServer drives concurrent clients against a running
-// RepositoryServer at baseURL and reports latency percentiles — the
-// harness behind `webrevd -bench` and BENCH_serve.json.
-func LoadTestServer(s *RepositoryServer, baseURL string, opts LoadOptions) (*LoadResult, error) {
-	return serve.LoadTest(s, baseURL, opts)
-}
 
 // Concept roles (see concept.Role).
 const (
