@@ -27,9 +27,10 @@ COVER_ARGS = webrev/internal/bayes webrev/internal/convert webrev/internal/xmlou
 	webrev/internal/discover=85 webrev/internal/schema=85 webrev/internal/mapping=85
 
 # Benchmarks gating the CI bench-regression job: the per-document convert
-# hot path (tokenize, classify, concept matching, parse, serialize) plus
-# the schema stages.
-CONVERT_BENCH = 'BenchmarkConvertResume|BenchmarkClassify|BenchmarkFrozenClassify|BenchmarkFindAllResume|BenchmarkParseResumeLike|BenchmarkMarshal|BenchmarkExtract|BenchmarkDiscover'
+# hot path (tokenize, classify, concept matching, parse, serialize), the
+# store decoder every stored document is read back through, and the schema
+# stages.
+CONVERT_BENCH = 'BenchmarkConvertResume|BenchmarkClassify|BenchmarkFrozenClassify|BenchmarkFindAllResume|BenchmarkParseResumeLike|BenchmarkMarshal|BenchmarkUnmarshal|BenchmarkExtract|BenchmarkDiscover'
 
 build:
 	$(GO) build ./...
@@ -54,7 +55,9 @@ race:
 # accept arbitrary bytes without panicking; the tree-edit-distance memo
 # must additionally stay equivalent to its naive reference, and merged
 # per-shard path accumulators to the serial fold, on arbitrary inputs;
-# fold/subtract interleavings
+# the store decoder must accept exactly what Marshal writes (an accepted
+# input re-marshals to itself and encoding/xml accepts it; a built tree
+# round-trips); fold/subtract interleavings
 # over the delta accumulator must exactly invert; opening a repository
 # directory from arbitrary index.log and segment.blob bytes must never
 # panic, and reading it must never write; opening a build shard's
@@ -67,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHTMLParse -fuzztime $(FUZZTIME) ./internal/htmlparse/
 	$(GO) test -run '^$$' -fuzz FuzzTidy -fuzztime $(FUZZTIME) ./internal/tidy/
 	$(GO) test -run '^$$' -fuzz FuzzConvert -fuzztime $(FUZZTIME) ./internal/convert/
+	$(GO) test -run '^$$' -fuzz FuzzCanonicalXML -fuzztime $(FUZZTIME) ./internal/xmlout/
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) ./internal/query/
 	$(GO) test -run '^$$' -fuzz FuzzTreeDistance -fuzztime $(FUZZTIME) ./internal/mapping/
 	$(GO) test -run '^$$' -fuzz FuzzMinePaths -fuzztime $(FUZZTIME) ./internal/schema/

@@ -246,7 +246,7 @@ func runStream(ctx context.Context, o options, c *crawler.Crawler, seedURL strin
 			len(repo.Quarantined), repo.TotalInput, repo.FailureRatio()*100)
 	}
 	fmt.Printf("peak in-flight documents %d (cap %d); %d conversion workers\n",
-		snap.Gauges[obs.GaugeStreamInFlightPeak], o.inFlight, snap.Gauges[obs.GaugeStreamShards])
+		snap.Gauges[obs.GaugeStreamInFlightPeak], snap.Gauges[obs.GaugeStreamInFlightCap], snap.Gauges[obs.GaugeStreamShards])
 	fmt.Printf("pre-mapping conformance %.1f%%, total mapping cost %d edits\n",
 		repo.ConformanceRate()*100, repo.TotalMapCost())
 	fmt.Print(snap.Summary())

@@ -2,8 +2,11 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,6 +92,63 @@ func TestRunCrawlDemoStream(t *testing.T) {
 	if snap.Stages[obs.StageMerge].Count != 1 {
 		t.Fatalf("merge stage not recorded: %v", snap.Stages)
 	}
+}
+
+// TestRunCrawlDemoStreamDefaultCap: without -inflight the report prints
+// the cap the streaming build applied, as its metrics snapshot records it.
+func TestRunCrawlDemoStreamDefaultCap(t *testing.T) {
+	o := baseOptions()
+	o.stream = true
+	o.metricsOut = filepath.Join(t.TempDir(), "stream.json")
+	out := captureStdout(t, func() error { return run(context.Background(), o) })
+	i := strings.Index(out, "peak in-flight documents")
+	if i < 0 {
+		t.Fatalf("no in-flight line in:\n%s", out)
+	}
+	var peak, limit, workers int64
+	if _, err := fmt.Sscanf(out[i:], "peak in-flight documents %d (cap %d); %d conversion workers", &peak, &limit, &workers); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(o.metricsOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	snap, err := obs.ReadSnapshot(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := snap.Gauges[obs.GaugeStreamInFlightCap]; limit != want || limit < workers || workers < 1 {
+		t.Fatalf("printed cap %d with %d workers, build applied cap %d", limit, workers, want)
+	}
+	if peak < 1 || peak > limit {
+		t.Fatalf("peak %d outside (0, cap %d]", peak, limit)
+	}
+}
+
+// captureStdout returns what fn writes to os.Stdout.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	err = fn()
+	os.Stdout = stdout
+	w.Close()
+	s := <-out
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestRunCrawlDemoStreamCanceled(t *testing.T) {

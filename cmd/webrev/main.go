@@ -459,29 +459,31 @@ type reporter interface{ Report() string }
 
 // experimentTable lists every experiment id `webrev experiments` knows, in
 // the order it runs them, with its default corpus size (which -docs
-// replaces) and its runner.
+// replaces), the smallest -docs it can use, and its runner.
 var experimentTable = []struct {
-	id   string
-	docs int
-	run  func(docs int, seed int64) (reporter, error)
+	id        string
+	docs, min int
+	run       func(docs int, seed int64) (reporter, error)
 }{
-	{"E1", 50, func(n int, seed int64) (reporter, error) { return experiments.RunAccuracy(n, seed), nil }},
-	{"E2", 100, func(n int, seed int64) (reporter, error) { return experiments.RunConstraints(n, seed), nil }},
-	{"E3", 0, func(n int, seed int64) (reporter, error) {
+	{"E1", 50, 1, func(n int, seed int64) (reporter, error) { return experiments.RunAccuracy(n, seed), nil }},
+	{"E2", 100, 1, func(n int, seed int64) (reporter, error) { return experiments.RunConstraints(n, seed), nil }},
+	// E3 fits its line over a quarter, a half and all of -docs.
+	{"E3", 0, 4, func(n int, seed int64) (reporter, error) {
 		sizes := []int{20, 50, 100, 190, 380} // without -docs: Figure 5's range
 		if n > 0 {
 			sizes = []int{n / 4, n / 2, n}
 		}
 		return experiments.RunScalability(sizes, seed), nil
 	}},
-	{"E4", 1400, func(n int, seed int64) (reporter, error) { return experiments.RunSampleDTD(n, seed), nil }},
-	{"E5", 200, func(n int, seed int64) (reporter, error) { return experiments.RunSchemaComparison(n, seed), nil }},
-	{"E6", 80, func(n int, seed int64) (reporter, error) { return experiments.RunClassifier(n/2, n/2, seed), nil }},
-	{"E7", 40, func(n int, seed int64) (reporter, error) { return experiments.RunRobustness(n, 0.2, seed) }},
-	{"E10", 60, func(n int, seed int64) (reporter, error) {
+	{"E4", 1400, 1, func(n int, seed int64) (reporter, error) { return experiments.RunSampleDTD(n, seed), nil }},
+	{"E5", 200, 1, func(n int, seed int64) (reporter, error) { return experiments.RunSchemaComparison(n, seed), nil }},
+	// E6 trains on one half of -docs and tests on the other.
+	{"E6", 80, 2, func(n int, seed int64) (reporter, error) { return experiments.RunClassifier(n/2, n/2, seed), nil }},
+	{"E7", 40, 1, func(n int, seed int64) (reporter, error) { return experiments.RunRobustness(n, 0.2, seed) }},
+	{"E10", 60, 1, func(n int, seed int64) (reporter, error) {
 		return experiments.RunFaultTolerance(n, []float64{0, 0.1, 0.25, 0.75}, 0, seed)
 	}},
-	{"E13", 40, func(n int, seed int64) (reporter, error) {
+	{"E13", 40, 1, func(n int, seed int64) (reporter, error) {
 		return experiments.RunDriftDetection(n, []float64{0, 0.05, 0.1, 0.2, 0.4}, seed)
 	}},
 }
@@ -496,8 +498,9 @@ func experimentIDs() []string {
 }
 
 // cmdExperiments runs the -run ids of experimentTable, in table order.
-// Every id is checked before anything runs, so a typo or a retired id
-// fails instead of silently running nothing.
+// Every id and the -docs size are checked before anything runs, so a typo,
+// a retired id or a corpus too small for an experiment fails instead of
+// silently running nothing or printing NaN.
 func cmdExperiments(args []string, w io.Writer) error {
 	ids := experimentIDs()
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
@@ -513,6 +516,11 @@ func cmdExperiments(args []string, w io.Writer) error {
 				id, strings.Join(ids, ", "))
 		}
 		want[strings.ToUpper(id)] = true
+	}
+	for _, e := range experimentTable {
+		if want[e.id] && *docs != 0 && *docs < e.min {
+			return fmt.Errorf("usage: webrev experiments [-docs N]: %s needs -docs %d or more", e.id, e.min)
+		}
 	}
 	for _, e := range experimentTable {
 		if !want[e.id] {

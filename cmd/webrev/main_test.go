@@ -295,6 +295,39 @@ func TestCmdExperimentsUnknownID(t *testing.T) {
 	}
 }
 
+// TestCmdExperimentsDocsMinimum: a -docs below what a selected experiment
+// can use is a usage error naming the experiment and its minimum, raised
+// before anything runs; at its minimum every experiment reports numbers,
+// never NaN.
+func TestCmdExperimentsDocsMinimum(t *testing.T) {
+	for _, c := range []struct {
+		run, docs, want string
+	}{
+		{"E1,E3", "3", "E3 needs -docs 4"},
+		{"E6", "1", "E6 needs -docs 2"},
+		{"E3,E6", "1", "E3 needs -docs 4"},
+		{"E1", "-1", "E1 needs -docs 1"},
+	} {
+		var out strings.Builder
+		err := cmdExperiments([]string{"-run", c.run, "-docs", c.docs}, &out)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("-run %s -docs %s: err = %v, want %q", c.run, c.docs, err, c.want)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-run %s -docs %s ran experiments before failing:\n%s", c.run, c.docs, out.String())
+		}
+	}
+	for _, e := range experimentTable {
+		var out strings.Builder
+		if err := cmdExperiments([]string{"-run", e.id, "-docs", fmt.Sprint(e.min)}, &out); err != nil {
+			t.Fatalf("%s at -docs %d: %v", e.id, e.min, err)
+		}
+		if strings.Contains(out.String(), "NaN") {
+			t.Fatalf("%s at -docs %d prints NaN:\n%s", e.id, e.min, out.String())
+		}
+	}
+}
+
 // TestExperimentsDocMatchesReports: EXPERIMENTS.md quotes the reports of
 // the deterministic experiments (E1, E2, E4, E5, E6 at their default sizes
 // and seed 1) verbatim, each as one fenced block.

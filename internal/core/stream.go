@@ -26,7 +26,7 @@ import (
 // (only the converted XML tree is retained for the mapping stage).
 // Acceptance blocks when the cap is reached, propagating backpressure to
 // the producer. The peak level is recorded on the
-// obs.GaugeStreamInFlightPeak gauge.
+// obs.GaugeStreamInFlightPeak gauge, the cap on obs.GaugeStreamInFlightCap.
 //
 // Given the same sources in the same order, BuildStream's repository is
 // byte-identical to Build's.
@@ -91,6 +91,7 @@ func (p *Pipeline) BuildStream(ctx context.Context, in <-chan Source) (*Reposito
 	if p.tr.Enabled() {
 		p.tr.Set(obs.GaugeStreamInFlight, 0)
 		p.tr.Set(obs.GaugeStreamInFlightPeak, peak.Load())
+		p.tr.Set(obs.GaugeStreamInFlightCap, int64(limit))
 		p.tr.Set(obs.GaugeStreamShards, int64(workers))
 	}
 	switch {

@@ -193,6 +193,9 @@ const (
 	// GaugeStreamInFlight over a whole streaming build; the bounded-memory
 	// guarantee is peak <= cap.
 	GaugeStreamInFlightPeak = "stream.inflight.peak"
+	// GaugeStreamInFlightCap is the in-flight cap a streaming build
+	// applied: Config.MaxInFlight, or its default when that is unset.
+	GaugeStreamInFlightCap = "stream.inflight.cap"
 	// GaugeStreamShards is the number of convert workers of a streaming or
 	// sharded build: the streaming build's ordered-pool workers, or the
 	// sharded build's shards (one worker each).

@@ -81,10 +81,13 @@ func (r *Repository) Add(name string, doc *dom.Node) error {
 }
 
 // Index returns the label-path index over the stored documents, building
-// it on first use. Building decodes every document once, and the built
-// index keeps every decoded tree resident: each pathindex.Ref holds its
-// *dom.Node, so a disk store's bounded LRU does not bound an indexed
-// repository's memory (ROADMAP.md item 5 plans a persistent index).
+// it on first use. Building reads and decodes every document once, which
+// is most of what opening a disk repository to serve it costs, and the
+// built index keeps every decoded tree resident: each pathindex.Ref holds
+// its *dom.Node, and a tree from xmlout.UnmarshalElement holds its node
+// slabs and the bytes of its stored blob, so a disk store's bounded LRU
+// does not bound an indexed repository's memory (ROADMAP.md item 5 plans
+// a persistent index).
 // Index returns nil when a document cannot be read or decoded; Query and
 // Count return that error.
 func (r *Repository) Index() *pathindex.Index {

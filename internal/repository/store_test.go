@@ -9,35 +9,30 @@ import (
 	"strings"
 	"testing"
 
+	"webrev/internal/dom"
 	"webrev/internal/obs"
 	"webrev/internal/xmlout"
 )
 
-// testDoc builds a small canonical document tree by round-tripping a
-// literal XML string through xmlout, so its Marshal form is exact.
-func testDoc(t *testing.T, xml string) (tree []byte, n int) {
-	t.Helper()
-	root, err := xmlout.UnmarshalElement(xml)
-	if err != nil {
-		t.Fatalf("testDoc %q: %v", xml, err)
-	}
-	return []byte(xmlout.Marshal(root)), 0
+// testDoc returns a one-name résumé document as a store holds it.
+func testDoc(name string) []byte {
+	return []byte(xmlout.Marshal(dom.Elem("resume", nil, dom.Elem("name", []string{"val", name}))))
 }
 
 // storeDocs is a varied set of canonical documents for store tests.
 func storeDocs(t *testing.T) [][]byte {
 	t.Helper()
-	var out [][]byte
-	for _, src := range []string{
-		"<resume><name val=\"Ada\"/></resume>",
-		"<resume><name val=\"Grace\"/><education><degree val=\"PhD\"/></education></resume>",
-		"<resume><skills><skill val=\"go\"/><skill val=\"sql\"/></skills></resume>",
-		"<resume><name val=\"Ada\"/></resume>", // duplicate of doc 0, for dedupe
-	} {
-		xml, _ := testDoc(t, src)
-		out = append(out, xml)
+	grace := dom.Elem("resume", nil,
+		dom.Elem("name", []string{"val", "Grace"}),
+		dom.Elem("education", nil, dom.Elem("degree", []string{"val", "PhD"})))
+	skills := dom.Elem("resume", nil,
+		dom.Elem("skills", nil, dom.Elem("skill", []string{"val", "go"}), dom.Elem("skill", []string{"val", "sql"})))
+	return [][]byte{
+		testDoc("Ada"),
+		[]byte(xmlout.Marshal(grace)),
+		[]byte(xmlout.Marshal(skills)),
+		testDoc("Ada"), // duplicate of doc 0, for dedupe
 	}
-	return out
 }
 
 func TestMemStoreBasics(t *testing.T) {
@@ -136,7 +131,7 @@ func TestDiskStoreDedupe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	xml, _ := testDoc(t, "<resume><name val=\"Ada\"/></resume>")
+	xml := testDoc("Ada")
 	if err := s.AppendXML("a", xml); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +410,7 @@ func TestDiskStoreCorruptMiddleLine(t *testing.T) {
 func TestReadingNeverWrites(t *testing.T) {
 	dir := t.TempDir()
 	// Four distinct documents (storeDocs' fourth duplicates its first).
-	fourth, _ := testDoc(t, "<resume><name val=\"Edsger\"/></resume>")
+	fourth := testDoc("Edsger")
 	docs := append(storeDocs(t)[:3], fourth)
 	w, err := CreateDiskStore(dir, DiskOptions{})
 	if err != nil {

@@ -1,13 +1,10 @@
-// Package xmlout serializes dom trees as XML documents and parses XML back
-// into dom trees, giving the pipeline a durable on-disk representation for
-// the XML repository the paper's system feeds (§1, §5).
+// Package xmlout serializes dom trees as XML documents and decodes that
+// serialization back into dom trees, giving the pipeline a durable on-disk
+// representation for the XML repository the paper's system feeds (§1, §5).
 package xmlout
 
 import (
 	"bytes"
-	"encoding/xml"
-	"fmt"
-	"io"
 	"strings"
 	"sync"
 
@@ -50,6 +47,10 @@ func writePad(b *bytes.Buffer, depth int) {
 }
 
 // writeNode writes n and its subtree, one node per line indented by depth.
+// It writes XML that UnmarshalElement reads back (DESIGN.md §8): an
+// element with nothing to write inside is self-closed, a comment never
+// holds "--" or ends in '-', and a doctype is written only at the top
+// level, outside any element.
 func writeNode(b *bytes.Buffer, n *dom.Node, depth int) {
 	switch n.Type {
 	case dom.DocumentNode:
@@ -67,10 +68,13 @@ func writeNode(b *bytes.Buffer, n *dom.Node, depth int) {
 	case dom.CommentNode:
 		writePad(b, depth)
 		b.WriteString("<!--")
-		b.WriteString(strings.ReplaceAll(n.Text, "--", "- -"))
+		b.WriteString(commentText(n.Text))
 		b.WriteString("-->\n")
 		return
 	case dom.DoctypeNode:
+		if depth > 0 {
+			return
+		}
 		writePad(b, depth)
 		b.WriteString("<!DOCTYPE ")
 		b.WriteString(n.Text)
@@ -87,7 +91,7 @@ func writeNode(b *bytes.Buffer, n *dom.Node, depth int) {
 		entity.WriteAttr(b, a.Value)
 		b.WriteByte('"')
 	}
-	if len(n.Children) == 0 {
+	if !writesAny(n.Children) {
 		b.WriteString("/>\n")
 		return
 	}
@@ -101,71 +105,35 @@ func writeNode(b *bytes.Buffer, n *dom.Node, depth int) {
 	b.WriteString(">\n")
 }
 
-// Unmarshal parses an XML document into a dom tree rooted at a DocumentNode.
-// It uses the stdlib decoder, so the input must be well-formed XML (unlike
-// the tolerant HTML parser in internal/htmlparse).
-func Unmarshal(src string) (*dom.Node, error) {
-	return UnmarshalReader(strings.NewReader(src))
+// writesAny reports whether writeNode writes a line for any of an
+// element's children.
+func writesAny(children []*dom.Node) bool {
+	for _, c := range children {
+		switch c.Type {
+		case dom.ElementNode, dom.CommentNode:
+			return true
+		case dom.TextNode:
+			if strings.TrimSpace(c.Text) != "" {
+				return true
+			}
+		case dom.DocumentNode:
+			if writesAny(c.Children) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
-// UnmarshalReader parses XML from r into a dom tree.
-func UnmarshalReader(r io.Reader) (*dom.Node, error) {
-	dec := xml.NewDecoder(r)
-	doc := dom.NewDocument()
-	cur := doc
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmlout: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			el := dom.NewElement(t.Name.Local)
-			for _, a := range t.Attr {
-				el.SetAttr(a.Name.Local, a.Value)
-			}
-			cur.AppendChild(el)
-			cur = el
-		case xml.EndElement:
-			if cur.Parent == nil {
-				return nil, fmt.Errorf("xmlout: unbalanced end element </%s>", t.Name.Local)
-			}
-			cur = cur.Parent
-		case xml.CharData:
-			if txt := string(t); strings.TrimSpace(txt) != "" {
-				cur.AppendChild(dom.NewText(strings.TrimSpace(txt)))
-			}
-		case xml.Comment:
-			cur.AppendChild(dom.NewComment(string(t)))
-		}
+// commentText is t as a comment may hold it: XML forbids "--" inside a
+// comment and '-' before its closing "-->", so a space goes between every
+// two dashes and after a final one.
+func commentText(t string) string {
+	for strings.Contains(t, "--") {
+		t = strings.ReplaceAll(t, "--", "- -")
 	}
-	if cur != doc {
-		return nil, fmt.Errorf("xmlout: unclosed element <%s>", cur.Tag)
+	if strings.HasSuffix(t, "-") {
+		t += " "
 	}
-	return doc, nil
-}
-
-// UnmarshalElement parses XML and returns the single root element.
-func UnmarshalElement(src string) (*dom.Node, error) {
-	doc, err := Unmarshal(src)
-	if err != nil {
-		return nil, err
-	}
-	var root *dom.Node
-	for _, c := range doc.Children {
-		if c.Type == dom.ElementNode {
-			if root != nil {
-				return nil, fmt.Errorf("xmlout: multiple root elements")
-			}
-			root = c
-		}
-	}
-	if root == nil {
-		return nil, fmt.Errorf("xmlout: no root element")
-	}
-	root.Detach()
-	return root, nil
+	return t
 }
