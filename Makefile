@@ -28,9 +28,10 @@ COVER_ARGS = webrev/internal/bayes webrev/internal/convert webrev/internal/xmlou
 
 # Benchmarks gating the CI bench-regression job: the per-document convert
 # hot path (tokenize, classify, concept matching, parse, serialize), the
-# store decoder every stored document is read back through, and the schema
-# stages.
-CONVERT_BENCH = 'BenchmarkConvertResume|BenchmarkClassify|BenchmarkFrozenClassify|BenchmarkFindAllResume|BenchmarkParseResumeLike|BenchmarkMarshal|BenchmarkUnmarshal|BenchmarkExtract|BenchmarkDiscover'
+# store decoder every stored document is read back through, the schema
+# stages, and the served val predicates (a contains count over a frozen
+# path index, the concept endpoint).
+CONVERT_BENCH = 'BenchmarkConvertResume|BenchmarkClassify|BenchmarkFrozenClassify|BenchmarkFindAllResume|BenchmarkParseResumeLike|BenchmarkMarshal|BenchmarkUnmarshal|BenchmarkExtract|BenchmarkDiscover|BenchmarkCountContains|BenchmarkServeConcept'
 
 build:
 	$(GO) build ./...

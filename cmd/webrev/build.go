@@ -16,7 +16,6 @@ import (
 	"strings"
 	"time"
 
-	"webrev/internal/concept"
 	"webrev/internal/core"
 	"webrev/internal/corpus"
 	"webrev/internal/obs"
@@ -173,14 +172,8 @@ func buildSources(files []string, corpusDir string, n int, seed int64) (int, fun
 			return core.Source{Name: files[i], HTML: string(b)}, nil
 		}, nil
 	}
-	// One compiled concept set serves every generator: compiling it per
-	// document cost more than generating the document. Shards share it
-	// concurrently, which is safe because the generator only reads the
-	// set's concepts and FindAll results, and the set's memo is
-	// lock-protected.
-	concepts := concept.ResumeSet()
 	return n, func(i int) (core.Source, error) {
-		g := corpus.New(corpus.Options{Seed: seed + int64(i)*1000003, Set: concepts})
+		g := corpus.New(corpus.Options{Seed: seed + int64(i)*1000003})
 		return core.Source{Name: fmt.Sprintf("gen-%07d", i), HTML: g.Resume().HTML}, nil
 	}, nil
 }

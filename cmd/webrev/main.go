@@ -237,7 +237,7 @@ func cmdQuery(args []string, w io.Writer) error {
 	}
 	names := repo.Names()
 	for _, r := range refs {
-		fmt.Fprintf(w, "%s\t<%s val=%q>\n", names[r.Doc], r.Node.Tag, r.Node.Val())
+		fmt.Fprintf(w, "%s\t<%s val=%q>\n", names[r.Doc], r.Node.Tag, r.Val)
 	}
 	fmt.Fprintf(w, "%d matches in %d documents\n", len(refs), repo.Len())
 	return nil

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"webrev/internal/concept"
 	"webrev/internal/core"
 	"webrev/internal/corpus"
 	"webrev/internal/crawler"
@@ -209,8 +210,8 @@ func TestCmdBuildSourcesAgree(t *testing.T) {
 }
 
 // TestCmdBuildGeneratedSources: the -n provider's documents are the
-// per-index seeded resumes a fresh generator produces, although every
-// index shares one compiled concept set.
+// per-index seeded resumes a generator with a freshly compiled concept set
+// produces, although every generator that names no set shares one.
 func TestCmdBuildGeneratedSources(t *testing.T) {
 	const seed = 7
 	total, at, err := buildSources(nil, "", 20, seed)
@@ -222,7 +223,7 @@ func TestCmdBuildGeneratedSources(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := corpus.New(corpus.Options{Seed: seed + int64(i)*1000003}).Resume().HTML
+		want := corpus.New(corpus.Options{Seed: seed + int64(i)*1000003, Set: concept.ResumeSet()}).Resume().HTML
 		if got.HTML != want {
 			t.Fatalf("document %d differs from a fresh generator's resume", i)
 		}

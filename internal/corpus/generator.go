@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"webrev/internal/concept"
 	"webrev/internal/dom"
@@ -79,10 +80,16 @@ type Options struct {
 	// with wording outside the concept instances (default 0.6; negative
 	// disables).
 	QuirkyProb float64
-	// Set is the concept vocabulary mirrored by ground truth (default
-	// concept.ResumeSet()).
+	// Set is the concept vocabulary mirrored by ground truth (default: one
+	// concept.ResumeSet() that every generator shares).
 	Set *concept.Set
 }
+
+// defaultSet is the compiled resume vocabulary behind every generator that
+// names no Set. Compiling it costs more than generating a resume, and
+// generators are often made one per document. Sharing it is safe: a Set
+// is read-only, and its FindAll memo is bounded and lock-protected.
+var defaultSet = sync.OnceValue(concept.ResumeSet)
 
 // Generator produces resumes deterministically from its seed.
 type Generator struct {
@@ -107,7 +114,7 @@ func New(opts Options) *Generator {
 		opts.QuirkyProb = 0.6
 	}
 	if opts.Set == nil {
-		opts.Set = concept.ResumeSet()
+		opts.Set = defaultSet()
 	}
 	if len(opts.Styles) == 0 {
 		opts.Styles = []Style{

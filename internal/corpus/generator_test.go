@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"webrev/internal/concept"
@@ -29,6 +30,33 @@ func TestDeterminism(t *testing.T) {
 	}
 	if same == len(a) {
 		t.Fatal("different seeds produced identical corpus")
+	}
+}
+
+// TestSharedDefaultSetConcurrent: generators that name no concept set
+// share one, from several goroutines at once, and still write exactly what
+// a generator with a set of its own writes.
+func TestSharedDefaultSetConcurrent(t *testing.T) {
+	const workers, docs = 4, 8
+	got := make([][]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < docs; i++ {
+				got[w] = append(got[w], New(Options{Seed: int64(i)}).Resume().HTML)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := 0; i < docs; i++ {
+		want := New(Options{Seed: int64(i), Set: concept.ResumeSet()}).Resume().HTML
+		for w := range got {
+			if got[w][i] != want {
+				t.Fatalf("worker %d, seed %d: shared-set resume differs from a fresh set's", w, i)
+			}
+		}
 	}
 }
 

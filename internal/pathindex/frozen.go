@@ -1,73 +1,30 @@
 package pathindex
 
-import "sort"
-
-// frozenShards must be a power of two. Sixteen shards keep each per-shard
-// map small enough that concurrent readers on different cores touch
-// disjoint cache lines for most lookups while the whole structure stays
-// read-only (Go maps are safe for lock-free concurrent reads).
-const frozenShards = 16
-
 // Frozen is an immutable, read-optimized form of an Index, the shape
-// webrevd serves queries from. Everything a query evaluation needs is
-// precomputed at Freeze time: the sorted path universe, sorted per-label
-// path lists (PathsEndingIn on the mutable Index sorts and allocates per
-// call), and document frequencies. Ref lookups go through a fixed shard
-// table keyed by an FNV-1a hash of the path.
+// webrevd serves queries from. Freeze sorts the path universe once; the
+// postings, their per-path aggregates and the sorted per-label path lists
+// are the Index's own, which Frozen returns without the copy the Index
+// makes.
 //
-// A Frozen is safe for unsynchronized concurrent use. Callers must treat
-// every returned slice as read-only — they are the shared precomputed
-// forms, not copies.
+// A Frozen is safe for unsynchronized concurrent use: Go maps and slices
+// are safe for any number of readers. Callers must treat every returned
+// slice as read-only — they are the shared precomputed forms, not copies.
 type Frozen struct {
 	docs    int
-	shards  [frozenShards]frozenShard
+	byPath  map[string]postings // shared with the Index
 	paths   []string            // all paths, sorted
-	byLabel map[string][]string // last label -> sorted full paths
-	docFreq map[string]int
+	byLabel map[string][]string // shared with the Index
 }
 
-type frozenShard struct {
-	byPath map[string][]Ref
-}
-
-// Freeze compiles the index into its immutable serving form. The Refs are
-// shared with the source index, which must not be modified afterwards.
+// Freeze compiles the index into its immutable serving form, which shares
+// the index's postings and tables.
 func (ix *Index) Freeze() *Frozen {
-	f := &Frozen{
+	return &Frozen{
 		docs:    ix.docs,
-		byLabel: make(map[string][]string, len(ix.byLabel)),
-		docFreq: make(map[string]int, len(ix.docFreq)),
+		byPath:  ix.byPath,
+		paths:   ix.Paths(),
+		byLabel: ix.byLabel,
 	}
-	perShard := len(ix.byPath)/frozenShards + 1
-	for i := range f.shards {
-		f.shards[i].byPath = make(map[string][]Ref, perShard)
-	}
-	f.paths = make([]string, 0, len(ix.byPath))
-	for p, refs := range ix.byPath {
-		f.paths = append(f.paths, p)
-		f.shards[fnv1a(p)&(frozenShards-1)].byPath[p] = refs
-		f.docFreq[p] = ix.docFreq[p]
-	}
-	sort.Strings(f.paths)
-	for label, set := range ix.byLabel {
-		paths := make([]string, 0, len(set))
-		for p := range set {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		f.byLabel[label] = paths
-	}
-	return f
-}
-
-// fnv1a hashes a path for shard selection.
-func fnv1a(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // Docs returns the number of indexed documents.
@@ -78,29 +35,19 @@ func (f *Frozen) Docs() int { return f.docs }
 func (f *Frozen) Paths() []string { return f.paths }
 
 // PathsEndingIn returns the indexed paths whose final label is label,
-// sorted. Unlike the mutable Index, the list is precomputed: no per-call
-// sort or allocation. The slice is shared — do not modify.
+// sorted. Unlike the Index's, the list is not copied: no per-call
+// allocation. The slice is shared — do not modify.
 func (f *Frozen) PathsEndingIn(label string) []string { return f.byLabel[label] }
 
 // Lookup returns all occurrences of the exact label path, in indexing
 // order. The slice is shared — do not modify.
-func (f *Frozen) Lookup(path string) []Ref {
-	return f.shards[fnv1a(path)&(frozenShards-1)].byPath[path]
-}
+func (f *Frozen) Lookup(path string) []Ref { return f.byPath[path].refs }
 
 // DocFrequency returns the number of distinct documents containing the
 // path.
-func (f *Frozen) DocFrequency(path string) int { return f.docFreq[path] }
+func (f *Frozen) DocFrequency(path string) int { return f.byPath[path].docs }
 
 // AvgPosition returns the mean child position of the path's occurrences.
 func (f *Frozen) AvgPosition(path string) (float64, bool) {
-	refs := f.Lookup(path)
-	if len(refs) == 0 {
-		return 0, false
-	}
-	sum := 0.0
-	for _, r := range refs {
-		sum += float64(r.Pos)
-	}
-	return sum / float64(len(refs)), true
+	return f.byPath[path].avgPosition()
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"webrev/internal/dom"
 )
 
 // TestFrozenAgreesWithIndex pins that every read the frozen form answers
@@ -101,9 +103,11 @@ func TestFrozenConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
+// TestCountDocs: a path's document frequency counts the distinct
+// documents among its postings, however many times each holds the path.
 func TestCountDocs(t *testing.T) {
 	cases := []struct {
-		docs []int
+		docs []int // the document of each posting of r/x, in order
 		want int
 	}{
 		{nil, 0},
@@ -113,12 +117,18 @@ func TestCountDocs(t *testing.T) {
 		{[]int{2, 2, 5, 7, 7, 7}, 3},
 	}
 	for _, c := range cases {
-		refs := make([]Ref, len(c.docs))
-		for i, d := range c.docs {
-			refs[i] = Ref{Doc: d}
+		trees := make([]*dom.Node, 8)
+		for i := range trees {
+			trees[i] = el("r")
 		}
-		if got := countDocs(refs); got != c.want {
-			t.Errorf("countDocs(%v) = %d; want %d", c.docs, got, c.want)
+		for _, d := range c.docs {
+			trees[d].AppendChild(el("x"))
+		}
+		ix := Build(trees)
+		for _, got := range []int{ix.DocFrequency("r/x"), ix.Freeze().DocFrequency("r/x")} {
+			if got != c.want {
+				t.Errorf("DocFrequency over postings in docs %v = %d; want %d", c.docs, got, c.want)
+			}
 		}
 	}
 }

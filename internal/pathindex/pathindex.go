@@ -8,83 +8,154 @@
 package pathindex
 
 import (
+	"slices"
 	"sort"
 
 	"webrev/internal/dom"
 	"webrev/internal/schema"
 )
 
-// Ref points to one occurrence of a label path: the node itself plus its
-// document and child position.
+// Ref is one posting of a label path: an occurrence's document, node and
+// child position, plus the node's val, so that a query's predicate reads
+// the posting instead of the tree.
 type Ref struct {
 	Doc  int // index into the corpus the index was built from
 	Node *dom.Node
 	Pos  int // child position among the parent's element children
+	// Val is Node.Val(), read once by Build. It shares the tree's bytes
+	// (for a stored document, the decoded blob's), so nothing is copied.
+	// It cannot go stale: an indexed tree is never mutated (the Store
+	// contract), and Repository.Add drops the index it would invalidate.
+	Val string
 }
 
-// Index maps label paths to their occurrences across a corpus.
+// postings are one path's occurrences in indexing order (document, then
+// document order) with the aggregates the index answers without a walk.
+type postings struct {
+	refs   []Ref
+	docs   int // distinct documents among refs
+	posSum int // sum of refs' Pos
+}
+
+// Index maps label paths to their occurrences across a corpus. It is not
+// modified after Build.
 type Index struct {
 	docs    int
-	byPath  map[string][]Ref
-	byLabel map[string]map[string]bool // last label -> set of full paths
-	docFreq map[string]int             // path -> distinct containing documents
+	byPath  map[string]postings
+	byLabel map[string][]string // last label -> sorted full paths
+}
+
+// pathKey identifies a path by its parent path's id and its last label, so
+// that a path's string is built once however often it occurs.
+type pathKey struct {
+	parent int32 // -1 for a root
+	tag    string
+}
+
+// pathEntry is one distinct path while Build runs.
+type pathEntry struct {
+	path    string
+	tag     string
+	n       int // elements on the path, counted by pass one
+	lastDoc int // pass two's last document, for counting documents
+	postings
+}
+
+// builder is the state of one Build: the interned paths and, in walk
+// order, each element's path id.
+type builder struct {
+	ids   map[pathKey]int32
+	paths []pathEntry
+	walk  []int32 // path id of every element, in walk order
+	next  int     // pass two's cursor into walk
 }
 
 // Build indexes the given document trees. Only element nodes participate.
+//
+// It runs in two passes so that every posting is written once into memory
+// sized for it. Pass one interns each path by (parent path, label),
+// records every element's path id in walk order and counts the elements
+// per path. Then one slab of exactly the element count is cut into the
+// paths' postings, each with its capacity clipped, and pass two fills
+// them in the same walk order, summing positions and counting documents.
+// A (parent path, label) pair names one path string because labels never
+// contain schema.Sep, which schema.Extract's path keys assume too.
 func Build(docs []*dom.Node) *Index {
-	ix := &Index{
-		docs:    len(docs),
-		byPath:  make(map[string][]Ref),
-		byLabel: make(map[string]map[string]bool),
+	b := &builder{ids: make(map[pathKey]int32)}
+	for _, d := range docs {
+		b.intern(d, -1)
+	}
+	slab := make([]Ref, len(b.walk))
+	off := 0
+	for i := range b.paths {
+		e := &b.paths[i]
+		e.refs = slab[off : off : off+e.n]
+		e.lastDoc = -1
+		off += e.n
 	}
 	for i, d := range docs {
-		ix.addTree(i, d, "", 0)
+		b.fill(i, d, 0)
 	}
-	// Precompute document frequencies: refs for a path are appended in
-	// non-decreasing document order, so distinct documents are the
-	// transitions — one pass here replaces a map allocation per
-	// DocFrequency call.
-	ix.docFreq = make(map[string]int, len(ix.byPath))
-	for p, refs := range ix.byPath {
-		ix.docFreq[p] = countDocs(refs)
+	ix := &Index{
+		docs:    len(docs),
+		byPath:  make(map[string]postings, len(b.paths)),
+		byLabel: make(map[string][]string),
+	}
+	for i := range b.paths {
+		e := &b.paths[i]
+		ix.byPath[e.path] = e.postings
+		ix.byLabel[e.tag] = append(ix.byLabel[e.tag], e.path)
+	}
+	for _, paths := range ix.byLabel {
+		sort.Strings(paths)
 	}
 	return ix
 }
 
-// countDocs counts distinct Doc values in refs, which are sorted by Doc
-// (indexing appends documents in order).
-func countDocs(refs []Ref) int {
-	n, last := 0, -1
-	for _, r := range refs {
-		if r.Doc != last {
-			n++
-			last = r.Doc
-		}
-	}
-	return n
-}
-
-func (ix *Index) addTree(doc int, n *dom.Node, prefix string, pos int) {
+// intern is pass one over the subtree at n, whose parent's path id is
+// parent.
+func (b *builder) intern(n *dom.Node, parent int32) {
 	if n.Type != dom.ElementNode {
 		return
 	}
-	path := n.Tag
-	if prefix != "" {
-		path = prefix + schema.Sep + n.Tag
+	k := pathKey{parent: parent, tag: n.Tag}
+	id, ok := b.ids[k]
+	if !ok {
+		id = int32(len(b.paths))
+		path := n.Tag
+		if parent >= 0 {
+			path = b.paths[parent].path + schema.Sep + n.Tag
+		}
+		b.ids[k] = id
+		b.paths = append(b.paths, pathEntry{path: path, tag: n.Tag})
 	}
-	ix.byPath[path] = append(ix.byPath[path], Ref{Doc: doc, Node: n, Pos: pos})
-	set := ix.byLabel[n.Tag]
-	if set == nil {
-		set = make(map[string]bool)
-		ix.byLabel[n.Tag] = set
+	b.paths[id].n++
+	b.walk = append(b.walk, id)
+	for _, c := range n.Children {
+		b.intern(c, id)
 	}
-	set[path] = true
+}
+
+// fill is pass two: it writes the postings of document doc's subtree at n,
+// at child position pos, in pass one's walk order.
+func (b *builder) fill(doc int, n *dom.Node, pos int) {
+	if n.Type != dom.ElementNode {
+		return
+	}
+	e := &b.paths[b.walk[b.next]]
+	b.next++
+	e.refs = append(e.refs, Ref{Doc: doc, Node: n, Pos: pos, Val: n.Val()})
+	e.posSum += pos
+	if e.lastDoc != doc {
+		e.docs++
+		e.lastDoc = doc
+	}
 	i := 0
 	for _, c := range n.Children {
 		if c.Type != dom.ElementNode {
 			continue
 		}
-		ix.addTree(doc, c, path, i)
+		b.fill(doc, c, i)
 		i++
 	}
 }
@@ -104,37 +175,33 @@ func (ix *Index) Paths() []string {
 
 // Lookup returns all occurrences of the exact label path, in indexing order
 // (document, then document order).
-func (ix *Index) Lookup(path string) []Ref { return ix.byPath[path] }
+func (ix *Index) Lookup(path string) []Ref { return ix.byPath[path].refs }
 
 // PathsEndingIn returns the indexed paths whose final label is label,
 // sorted — the expansion step for descendant ("//") queries.
 func (ix *Index) PathsEndingIn(label string) []string {
-	set := ix.byLabel[label]
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(ix.byLabel[label])
 }
 
 // DocFrequency returns the number of distinct documents containing the
 // path — the support numerator of §3.2 served from the index. Frequencies
-// are precomputed at Build; a call allocates nothing.
+// are counted at Build; a call allocates nothing.
 func (ix *Index) DocFrequency(path string) int {
-	return ix.docFreq[path]
+	return ix.byPath[path].docs
 }
 
 // AvgPosition returns the mean child position of the path's occurrences —
-// the ordering rule's statistic (§3.3) computed from index pointers.
+// the ordering rule's statistic (§3.3), from the position sum Build keeps.
 func (ix *Index) AvgPosition(path string) (float64, bool) {
-	refs := ix.byPath[path]
-	if len(refs) == 0 {
+	return ix.byPath[path].avgPosition()
+}
+
+// avgPosition is the mean of the postings' positions. Dividing the integer
+// sum once gives the same float64 as summing the positions as floats:
+// every partial sum is an integer below 2^53, so each is exact.
+func (p postings) avgPosition() (float64, bool) {
+	if len(p.refs) == 0 {
 		return 0, false
 	}
-	sum := 0.0
-	for _, r := range refs {
-		sum += float64(r.Pos)
-	}
-	return sum / float64(len(refs)), true
+	return float64(p.posSum) / float64(len(p.refs)), true
 }

@@ -101,3 +101,33 @@ func TestCountContextPartialOnCancel(t *testing.T) {
 		t.Fatalf("CountContext(cancelled) = %d, %v; want 0, Canceled", n, err)
 	}
 }
+
+// TestEachContextPollsWhileNothingMatches: the deadline check counts
+// scanned postings, not matches, so a selective predicate that matches
+// once and then scans a long run of non-matching postings still stops
+// when its context fires.
+func TestEachContextPollsWhileNothingMatches(t *testing.T) {
+	root := dom.Elem("r", nil, dom.Elem("leaf", []string{"val", "needle"}))
+	for i := 0; i < 4*ctxCheckStride; i++ {
+		root.AppendChild(dom.Elem("leaf", []string{"val", "hay"}))
+	}
+	ix := pathindex.Build([]*dom.Node{root}).Freeze()
+	q, err := Compile(`//leaf[@val~"needle"]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	err = q.EachContext(ctx, ix, func(string, pathindex.Ref) bool {
+		calls++
+		cancel()
+		return true
+	})
+	if err != context.Canceled {
+		t.Fatalf("err = %v after scanning %d postings with the context cancelled; want context.Canceled", err, 1+4*ctxCheckStride)
+	}
+	if calls != 1 {
+		t.Fatalf("callback ran %d times; want 1", calls)
+	}
+}

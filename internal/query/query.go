@@ -224,6 +224,42 @@ func stepMatches(st Step, label string) bool {
 // slice. fn returning false stops the walk early — the limit/early-exit
 // path of webrevd's query endpoint.
 func (q *Query) Each(ix Index, fn func(path string, ref pathindex.Ref) bool) {
+	q.scan(ix, nil, fn)
+}
+
+// ctxCheckStride is how many postings EachContext scans between
+// cancellation checks — frequent enough that an aborted scan stops after
+// at most that many more postings, matching or not, rare enough that the
+// channel poll never shows up in profiles.
+const ctxCheckStride = 256
+
+// EachContext is Each with cooperative cancellation: the walk polls
+// ctx.Done() every ctxCheckStride scanned postings, matching or not, and
+// stops early when the context is cancelled or its deadline passes,
+// returning the context's error. This is how webrevd's per-request
+// deadlines abort slow scans — a selective predicate included, which
+// streams few matches however much it scans — instead of pinning a worker
+// until the scan finishes on its own. A context that can never be
+// cancelled costs nothing extra (the check is skipped entirely).
+func (q *Query) EachContext(ctx context.Context, ix Index, fn func(path string, ref pathindex.Ref) bool) error {
+	done := ctx.Done()
+	if done != nil {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+	}
+	if q.scan(ix, done, fn) {
+		return ctx.Err()
+	}
+	return nil
+}
+
+// scan is Each's walk. With a non-nil done it polls done every
+// ctxCheckStride scanned postings and reports whether it stopped because
+// done was closed.
+func (q *Query) scan(ix Index, done <-chan struct{}, fn func(path string, ref pathindex.Ref) bool) (cancelled bool) {
 	// Candidate paths: when the final step is a concrete label, only paths
 	// ending in it can match; otherwise scan all.
 	last := q.Steps[len(q.Steps)-1]
@@ -233,58 +269,31 @@ func (q *Query) Each(ix Index, fn func(path string, ref pathindex.Ref) bool) {
 	} else {
 		candidates = ix.Paths()
 	}
+	scanned := 0
 	for _, p := range candidates {
 		if !q.matchPath(p) {
 			continue
 		}
-		for _, ref := range ix.Lookup(p) {
-			if q.Pred != nil && !q.predMatches(ref) {
+		refs := ix.Lookup(p)
+		for i := range refs {
+			if done != nil {
+				if scanned++; scanned%ctxCheckStride == 0 {
+					select {
+					case <-done:
+						return true
+					default:
+					}
+				}
+			}
+			if q.Pred != nil && !q.Pred.matches(refs[i].Val) {
 				continue
 			}
-			if !fn(p, ref) {
-				return
-			}
-		}
-	}
-}
-
-// ctxCheckStride is how many matches EachContext streams between
-// cancellation checks — frequent enough that an aborted scan stops within
-// microseconds, rare enough that the channel poll never shows up in
-// profiles.
-const ctxCheckStride = 256
-
-// EachContext is Each with cooperative cancellation: the walk polls
-// ctx.Done() every ctxCheckStride matches and stops early when the context
-// is cancelled or its deadline passes, returning the context's error. This
-// is how webrevd's per-request deadlines abort slow scans instead of
-// pinning a worker until the scan finishes on its own. A context that can
-// never be cancelled costs nothing extra (the check is skipped entirely).
-func (q *Query) EachContext(ctx context.Context, ix Index, fn func(path string, ref pathindex.Ref) bool) error {
-	done := ctx.Done()
-	if done == nil {
-		q.Each(ix, fn)
-		return nil
-	}
-	select {
-	case <-done:
-		return ctx.Err()
-	default:
-	}
-	var err error
-	n := 0
-	q.Each(ix, func(p string, ref pathindex.Ref) bool {
-		if n++; n%ctxCheckStride == 0 {
-			select {
-			case <-done:
-				err = ctx.Err()
+			if !fn(p, refs[i]) {
 				return false
-			default:
 			}
 		}
-		return fn(p, ref)
-	})
-	return err
+	}
+	return false
 }
 
 // CountContext is Count under cooperative cancellation: it returns the
@@ -310,12 +319,13 @@ func (q *Query) Evaluate(ix Index) []pathindex.Ref {
 	return out
 }
 
-func (q *Query) predMatches(ref pathindex.Ref) bool {
-	val := ref.Node.Val()
-	if q.Pred.Contains {
-		return strings.Contains(val, q.Pred.Value)
+// matches reports whether a posting's val satisfies the predicate. It
+// reads the val the index stored, not the tree.
+func (p *Predicate) matches(val string) bool {
+	if p.Contains {
+		return strings.Contains(val, p.Value)
 	}
-	return val == q.Pred.Value
+	return val == p.Value
 }
 
 // Count returns the number of matches without materializing them: it walks

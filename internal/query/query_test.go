@@ -1,7 +1,9 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -155,44 +157,54 @@ func TestEvaluateReturnsUsableRefs(t *testing.T) {
 	}
 }
 
-// naiveEvaluate re-implements query evaluation as a direct tree walk,
-// used as the oracle for the differential property test.
-func naiveEvaluate(q *Query, docs []*dom.Node) int {
-	count := 0
-	var walk func(n *dom.Node, path []string)
-	walk = func(n *dom.Node, path []string) {
+// naiveMatch is one match of the naive evaluation.
+type naiveMatch struct {
+	path string
+	doc  int
+	node *dom.Node
+}
+
+// naiveEvaluate re-implements query evaluation as a direct tree walk that
+// reads each node's val from the tree, used as the oracle for the
+// differential property test. It returns the matches in Each's order:
+// paths sorted, then document and document order.
+func naiveEvaluate(q *Query, docs []*dom.Node) []naiveMatch {
+	var out []naiveMatch
+	var walk func(doc int, n *dom.Node, path []string)
+	walk = func(doc int, n *dom.Node, path []string) {
 		if n.Type != dom.ElementNode {
 			return
 		}
 		path = append(path, n.Tag)
-		if matchSteps(q.Steps, schema.Join(path)) {
-			if q.Pred == nil {
-				count++
-			} else {
-				val := n.Val()
-				if q.Pred.Contains && strings.Contains(val, q.Pred.Value) {
-					count++
-				} else if !q.Pred.Contains && val == q.Pred.Value {
-					count++
-				}
+		p := schema.Join(path)
+		if matchSteps(q.Steps, p) {
+			val := n.Val()
+			if q.Pred == nil ||
+				q.Pred.Contains && strings.Contains(val, q.Pred.Value) ||
+				!q.Pred.Contains && val == q.Pred.Value {
+				out = append(out, naiveMatch{path: p, doc: doc, node: n})
 			}
 		}
 		for _, c := range n.Children {
-			walk(c, path)
+			walk(doc, c, path)
 		}
 	}
-	for _, d := range docs {
-		walk(d, nil)
+	for i, d := range docs {
+		walk(i, d, nil)
 	}
-	return count
+	sort.SliceStable(out, func(i, j int) bool { return out[i].path < out[j].path })
+	return out
 }
 
 func TestPropertyIndexMatchesNaiveWalk(t *testing.T) {
 	tags := []string{"resume", "education", "institution", "degree", "date"}
+	vals := []string{"x", "1996", "y", "", "\x00", "a\x00b", "é", "日本語 1996"}
 	exprs := []string{
 		"/resume", "//degree", "/resume/education", "/resume//date",
 		"/resume/*/degree", "//institution", `//degree[@val="x"]`,
 		`//date[@val~"19"]`, "//*", "/resume//*", "//education//*",
+		`//*[@val~""]`, `//degree[@val=""]`, "//*[@val~\"\x00\"]",
+		"//date[@val=\"a\x00b\"]", `//*[@val~"é"]`, `/resume//*[@val~"本"]`,
 	}
 	f := func(seed int64, size uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -204,7 +216,7 @@ func TestPropertyIndexMatchesNaiveWalk(t *testing.T) {
 				p := nodes[r.Intn(len(nodes))]
 				c := el(tags[1+r.Intn(len(tags)-1)])
 				if r.Intn(2) == 0 {
-					c.SetVal([]string{"x", "1996", "y"}[r.Intn(3)])
+					c.SetVal(vals[r.Intn(len(vals))])
 				}
 				p.AppendChild(c)
 				nodes = append(nodes, c)
@@ -215,9 +227,24 @@ func TestPropertyIndexMatchesNaiveWalk(t *testing.T) {
 		for _, expr := range exprs {
 			q, err := Compile(expr)
 			if err != nil {
+				t.Errorf("Compile(%q): %v", expr, err)
 				return false
 			}
-			if len(q.Evaluate(ix)) != naiveEvaluate(q, docs) {
+			want := naiveEvaluate(q, docs)
+			i := 0
+			ok := true
+			q.Each(ix, func(path string, ref pathindex.Ref) bool {
+				if i >= len(want) {
+					ok = false
+					return false
+				}
+				w := want[i]
+				i++
+				ok = path == w.path && ref.Doc == w.doc && ref.Node == w.node && ref.Val == w.node.Val()
+				return ok
+			})
+			if !ok || i != len(want) {
+				t.Errorf("%s: index matches diverge from the naive walk at match %d of %d", expr, i, len(want))
 				return false
 			}
 		}
@@ -234,5 +261,59 @@ func BenchmarkEvaluateDescendant(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.Evaluate(ix)
+	}
+}
+
+// syntheticDocs builds n resume-shaped trees of about 30 elements each,
+// with vals that vary by document: the shape of a served repository.
+func syntheticDocs(n int) []*dom.Node {
+	r := rand.New(rand.NewSource(1))
+	schools := []string{"UC Davis", "Stanford University", "MIT", "UC Berkeley", "Oxford", "Carnegie Mellon"}
+	degrees := []string{"B.S.", "M.S.", "Ph.D.", "B.A.", "M.B.A."}
+	months := []string{"January", "March", "June", "September", "Fall", "Spring"}
+	date := func() string { return fmt.Sprintf("%s %d", months[r.Intn(len(months))], 1970+r.Intn(50)) }
+	docs := make([]*dom.Node, n)
+	for i := range docs {
+		root := el("resume", elv("contact", fmt.Sprintf("person-%d@example.com", i)))
+		edu := el("education")
+		for j := 1 + r.Intn(3); j > 0; j-- {
+			edu.AppendChild(elv("institution", schools[r.Intn(len(schools))],
+				elv("degree", degrees[r.Intn(len(degrees))]),
+				elv("date", date()),
+			))
+		}
+		exp := el("experience")
+		for j := 2 + r.Intn(4); j > 0; j-- {
+			exp.AppendChild(elv("position", fmt.Sprintf("Engineer %d", r.Intn(100)),
+				elv("date", date()),
+				elv("description", fmt.Sprintf("Built system %d in team %d", r.Intn(1000), r.Intn(50))),
+			))
+		}
+		root.AppendChild(edu)
+		root.AppendChild(exp)
+		docs[i] = root
+	}
+	return docs
+}
+
+// BenchmarkCountContains is a tail query's count: a contains predicate
+// over every date posting of 2,000 documents, answered from a frozen
+// index.
+func BenchmarkCountContains(b *testing.B) {
+	frozen := pathindex.Build(syntheticDocs(2000)).Freeze()
+	q, err := Compile(`//date[@val~"1996"]`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := q.Count(frozen)
+	if want == 0 {
+		b.Fatal("benchmark query matches nothing")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if q.Count(frozen) != want {
+			b.Fatal("count changed between runs")
+		}
 	}
 }

@@ -203,6 +203,19 @@ func TestCountDoesNotMaterialize(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("Count with predicate allocated %.0f objects per run; want 0", allocs)
 	}
+	// So must the contains path, which reads each posting's stored val.
+	qc, err := Compile(`//leaf[@val~"v"]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := qc.Count(frozen); got != 64*32 {
+		t.Fatalf("contains count = %d; want %d", got, 64*32)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		qc.Count(frozen)
+	}); allocs != 0 {
+		t.Errorf("Count with contains predicate allocated %.0f objects per run; want 0", allocs)
+	}
 }
 
 // TestUnquote covers the literal grammar directly.

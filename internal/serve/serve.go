@@ -23,12 +23,13 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -753,7 +754,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Results = append(resp.Results, Match{
 			Doc:  ix.names[ref.Doc],
 			Path: path,
-			Val:  ref.Node.Val(),
+			Val:  ref.Val,
 			Pos:  ref.Pos,
 		})
 		return true
@@ -945,42 +946,44 @@ func (s *Server) handleConcept(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.countQueryEval()
-	type agg struct {
-		count int
-		// Distinct docs need a set: a concept can live under several
-		// label paths, so refs are not globally doc-ordered.
-		docs map[int]struct{}
-	}
-	byVal := make(map[string]*agg)
-	order := []string{}
-	total := 0
+	// One (val, doc) pair per match, sorted: each value's matches are then
+	// one run, and its documents ascend within the run, so counting them
+	// needs no map. A concept can live under several label paths, so the
+	// matches alone are not in document order.
+	var pairs []valDoc
 	err = q.EachContext(r.Context(), ix.frozen, func(_ string, ref pathindex.Ref) bool {
-		total++
-		v := ref.Node.Val()
-		a := byVal[v]
-		if a == nil {
-			a = &agg{docs: make(map[int]struct{}, 1)}
-			byVal[v] = a
-			order = append(order, v)
-		}
-		a.count++
-		a.docs[ref.Doc] = struct{}{}
+		pairs = append(pairs, valDoc{ref.Val, ref.Doc})
 		return true
 	})
 	if err != nil {
 		s.timeoutError(w, err)
 		return
 	}
-	sort.Strings(order)
-	resp := ConceptResponse{Concept: name, Gen: ix.gen, Total: total, Instances: []Instance{}}
-	for _, v := range order {
-		if len(resp.Instances) >= s.opts.MaxResults {
-			break
+	slices.SortFunc(pairs, func(a, b valDoc) int {
+		if c := strings.Compare(a.val, b.val); c != 0 {
+			return c
 		}
-		a := byVal[v]
-		resp.Instances = append(resp.Instances, Instance{Value: v, Count: a.count, Docs: len(a.docs)})
+		return cmp.Compare(a.doc, b.doc)
+	})
+	resp := ConceptResponse{Concept: name, Gen: ix.gen, Total: len(pairs), Instances: []Instance{}}
+	for i := 0; i < len(pairs) && len(resp.Instances) < s.opts.MaxResults; {
+		inst := Instance{Value: pairs[i].val}
+		for lastDoc := -1; i < len(pairs) && pairs[i].val == inst.Value; i++ {
+			inst.Count++
+			if pairs[i].doc != lastDoc {
+				inst.Docs++
+				lastDoc = pairs[i].doc
+			}
+		}
+		resp.Instances = append(resp.Instances, inst)
 	}
 	writeJSON(w, resp)
+}
+
+// valDoc is one /api/concept match: its val and its document.
+type valDoc struct {
+	val string
+	doc int
 }
 
 // quoteValue renders v as a query-language string literal.

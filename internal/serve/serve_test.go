@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -167,6 +168,55 @@ func TestConceptEndpoint(t *testing.T) {
 	if sub.Total != 6 {
 		t.Fatalf("contains filter total = %d, want 6", sub.Total)
 	}
+
+	// A value's documents are counted once however many of its label
+	// paths a document holds it under, values come out sorted, and
+	// MaxResults caps the instances but not the total.
+	repo := conceptRepo(t)
+	for _, c := range []struct {
+		max  int
+		want []Instance
+	}{
+		{0, []Instance{{Value: "MIT", Count: 1, Docs: 1}, {Value: "UC 0", Count: 3, Docs: 2}}},
+		{1, []Instance{{Value: "MIT", Count: 1, Docs: 1}}},
+	} {
+		ts := httptest.NewServer(NewServer(repo, Options{MaxResults: c.max}).Handler())
+		var cr ConceptResponse
+		getJSON(t, ts.URL+"/api/concept?name=institution", &cr)
+		ts.Close()
+		if cr.Total != 4 || !reflect.DeepEqual(cr.Instances, c.want) {
+			t.Errorf("MaxResults %d: total %d, instances %+v; want 4, %+v", c.max, cr.Total, cr.Instances, c.want)
+		}
+	}
+	ts2 := httptest.NewServer(NewServer(repo, Options{}).Handler())
+	defer ts2.Close()
+	var uc ConceptResponse
+	getJSON(t, ts2.URL+"/api/concept?name=institution&val=UC+0", &uc)
+	if want := []Instance{{Value: "UC 0", Count: 3, Docs: 2}}; uc.Total != 3 || !reflect.DeepEqual(uc.Instances, want) {
+		t.Errorf("val filter across paths: total %d, instances %+v; want 3, %+v", uc.Total, uc.Instances, want)
+	}
+}
+
+// conceptRepo holds institution under two label paths, education and
+// courses: doc 0 has "UC 0" under both, doc 1 has "UC 0" under education
+// and "MIT" under courses.
+func conceptRepo(t *testing.T) *repository.Repository {
+	t.Helper()
+	docs := []*dom.Node{
+		el("resume", el("education", elv("institution", "UC 0")), el("courses", elv("institution", "UC 0"))),
+		el("resume", el("education", elv("institution", "UC 0")), el("courses", elv("institution", "MIT"))),
+	}
+	var dps []*schema.DocPaths
+	for _, d := range docs {
+		dps = append(dps, schema.Extract(d))
+	}
+	r := repository.New(dtd.FromSchema((&schema.Miner{SupThreshold: 0.5}).Discover(dps), dtd.Options{}))
+	for i, d := range docs {
+		if err := r.Add(fmt.Sprintf("doc-%d", i), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
 }
 
 func TestDocAndSchemaEndpoints(t *testing.T) {
@@ -531,6 +581,28 @@ func BenchmarkServeQueryHot(b *testing.B) {
 		if w.Code != 200 {
 			b.Fatal(w.Code)
 		}
+	}
+}
+
+// BenchmarkServeConcept is /api/concept over 500 documents: every value
+// of a concept (500 distinct, one per document), and a contains filter.
+func BenchmarkServeConcept(b *testing.B) {
+	h := NewServer(testRepo(b, 500, 0), Options{}).Handler()
+	for _, bc := range []struct{ name, target string }{
+		{"all", "/api/concept?name=contact"},
+		{"val", "/api/concept?name=contact&val=person-1&contains=1"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			req := httptest.NewRequest("GET", bc.target, nil)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, req)
+				if w.Code != 200 {
+					b.Fatal(w.Code)
+				}
+			}
+		})
 	}
 }
 

@@ -16,19 +16,32 @@ import (
 // returned to the pool before the call returns; callers only ever see the
 // copied-out string, so no pooled memory escapes. See ARCHITECTURE.md,
 // "Performance model".
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var bufPool = sync.Pool{New: func() any {
+	m := new(marshalBuf)
+	m.b = *bytes.NewBuffer(m.room[:0])
+	return m
+}}
+
+// marshalBuf is a pooled buffer with room for a typical stored document
+// in its own allocation, so that a fresh one (a pool miss) costs one
+// allocation rather than one per buffer growth.
+type marshalBuf struct {
+	b    bytes.Buffer
+	room [8 << 10]byte
+}
 
 const xmlHeader = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
 
 // Marshal renders the subtree rooted at n as indented XML, with a standard
 // declaration header when n is an element or document.
 func Marshal(n *dom.Node) string {
-	b := bufPool.Get().(*bytes.Buffer)
+	m := bufPool.Get().(*marshalBuf)
+	b := &m.b
 	b.Reset()
 	b.WriteString(xmlHeader)
 	writeNode(b, n, 0)
 	s := b.String()
-	bufPool.Put(b)
+	bufPool.Put(m)
 	return s
 }
 
