@@ -22,8 +22,10 @@
 package convert
 
 import (
+	"slices"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"webrev/internal/bayes"
 	"webrev/internal/concept"
@@ -247,7 +249,7 @@ func (c *Converter) ConvertTree(body *dom.Node) (*dom.Node, Stats) {
 	// Whatever val accumulated on the consumed body/document belongs to the
 	// root.
 	root.AppendVal(body.Val())
-	stats.ConceptNodes = countConcepts(root, c.set)
+	stats.ConceptNodes = c.seal(root)
 	if tr.Enabled() {
 		tr.Add(obs.CtrTokens, int64(stats.Tokens))
 		tr.Add(obs.CtrTokensIdent, int64(stats.IdentifiedTokens))
@@ -257,15 +259,51 @@ func (c *Converter) ConvertTree(body *dom.Node) (*dom.Node, Stats) {
 	return root, stats
 }
 
-func countConcepts(root *dom.Node, set *concept.Set) int {
-	n := 0
-	if root.Type == dom.ElementNode && set.Has(root.Tag) {
-		n++
+// seal makes the converted tree one the store can hold and read back, and
+// counts its concept elements. Every element keeps only its val: an HTML
+// element named like a concept arrives with its HTML attributes, whose
+// names need not be XML names. Vals and texts are mapped to characters XML
+// can carry (xmlChars): the tokenization rule splits text at control
+// bytes, but an HTML val attribute, and U+FFFE and U+FFFF in text, get
+// this far.
+func (c *Converter) seal(n *dom.Node) int {
+	count := 0
+	if n.Type == dom.ElementNode {
+		if c.set.Has(n.Tag) {
+			count++
+		}
+		n.Attrs = slices.DeleteFunc(n.Attrs, func(a dom.Attr) bool { return a.Name != dom.ValAttr })
+		for i := range n.Attrs {
+			n.Attrs[i].Value = xmlChars(n.Attrs[i].Value)
+		}
+	} else {
+		n.Text = xmlChars(n.Text)
 	}
-	for _, ch := range root.Children {
-		n += countConcepts(ch, set)
+	for _, ch := range n.Children {
+		count += c.seal(ch)
 	}
-	return n
+	return count
+}
+
+// xmlChars returns s with every character XML 1.0 cannot carry — a C0
+// control other than tab, newline and carriage return, U+FFFE or U+FFFF —
+// replaced by U+FFFD, the character Marshal already writes for malformed
+// UTF-8. The scan stops at the first byte that can start such a character
+// (any C0 byte, or 0xEF); a string without one comes back as is.
+func xmlChars(s string) string {
+	for i := 0; i < len(s); i++ {
+		if s[i] < 0x20 || s[i] == 0xEF {
+			return strings.Map(xmlRune, s)
+		}
+	}
+	return s
+}
+
+func xmlRune(r rune) rune {
+	if r < 0x20 && r != '\t' && r != '\n' && r != '\r' || r == 0xFFFE || r == 0xFFFF {
+		return utf8.RuneError
+	}
+	return r
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package convert_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"webrev/internal/concept"
@@ -23,6 +24,10 @@ func fuzzSeeds() []string {
 		"<p>no concepts here at all</p>",
 		"<table><tr><td>Skills</td><td>Go, SQL</table>",
 		"\x00<h1>\xff</h1>",
+		// Shapes that once converted to undecodable XML.
+		`<h1>John Roe</h1><EduCAtion! x="1">Stanford University, M.S., 1998</EduCAtion!>`,
+		"<p val=\"a\x01b\">Stanford University</p>",
+		"<p>x\uFFFEy\uFFFFz</p>",
 	}
 	for _, r := range g.Corpus(3) {
 		seeds = append(seeds, r.HTML)
@@ -36,7 +41,8 @@ func fuzzSeeds() []string {
 // FuzzConvert runs the full conversion pipeline (parse, tidy, tokenize,
 // instance rules, grouping, consolidation) on arbitrary HTML. Malformed or
 // truncated input must never panic, the result must be a valid tree rooted
-// at the configured root concept, and the token accounting must balance.
+// at the configured root concept, the token accounting must balance, and
+// the stored form must decode back to itself.
 func FuzzConvert(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
@@ -63,7 +69,37 @@ func FuzzConvert(f *testing.F) {
 		if r := stats.IdentifiedRatio(); r < 0 || r > 1 {
 			t.Fatalf("IdentifiedRatio out of range: %v (%+v)", r, stats)
 		}
+		stored := xmlout.Marshal(root)
+		back, err := xmlout.UnmarshalElement(stored)
+		if err != nil {
+			t.Fatalf("stored form does not decode: %v\n%s", err, stored)
+		}
+		if again := xmlout.Marshal(back); again != stored {
+			t.Fatalf("stored form changed in a round trip:\n%s\nwant\n%s", again, stored)
+		}
 	})
+}
+
+// TestConvertStoresOnlyXML: the shapes that once made a converted page
+// undecodable now store as XML the decoder reads back. An HTML element
+// named like a concept keeps only its val; a control byte in an HTML val
+// attribute and U+FFFE and U+FFFF in text become U+FFFD.
+func TestConvertStoresOnlyXML(t *testing.T) {
+	c := convert.New(concept.ResumeSet(), convert.Options{RootName: "resume"})
+	for _, tc := range []struct{ src, want string }{
+		{`<h1>John Roe</h1><EduCAtion! x="1">Stanford University, M.S., 1998</EduCAtion!>`, `<education val="1998">`},
+		{"<p val=\"a\x01b\">Stanford University</p>", "<resume val=\"a\uFFFDb\">"},
+		{"<p>x\uFFFEy\uFFFFz</p>", "<resume val=\"x\uFFFDy\uFFFDz\"/>"},
+	} {
+		root, _ := c.Convert(tc.src)
+		stored := xmlout.Marshal(root)
+		if !strings.Contains(stored, tc.want) {
+			t.Errorf("%q stored as\n%s\nwant it to hold %q", tc.src, stored, tc.want)
+		}
+		if _, err := xmlout.UnmarshalElement(stored); err != nil {
+			t.Errorf("%q: stored form does not decode: %v", tc.src, err)
+		}
+	}
 }
 
 // TestExtractSurvivesStoreRoundTrip: the label-path statistics of a

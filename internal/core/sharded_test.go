@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +15,7 @@ import (
 	"webrev/internal/faultinject"
 	"webrev/internal/obs"
 	"webrev/internal/repository"
+	"webrev/internal/schema"
 	"webrev/internal/xmlout"
 )
 
@@ -112,34 +116,91 @@ func TestBuildShardedMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestBuildShardedKeepsNamesAndValuesVerbatim: a prefixed attribute name
-// and a CR in a converted document survive the conv/ store's round trip,
-// so the sharded map phase conforms exactly the trees BuildRepository
-// does and both builds write the same bytes. The converter lets both
-// through only by two of its leaks (a concept-named HTML element keeps its
-// HTML attributes, and an HTML val's bytes reach the parent's val); once
-// ROADMAP item 11 closes them, this test fails its own precondition and
-// must seed the name and the CR into the conv/ store directly.
+// TestBuildShardedKeepsNamesAndValuesVerbatim: a sharded build reads its
+// conv/ stores verbatim, so a prefixed attribute name and a CR in a val
+// reach the final store exactly as BuildFromStats writes them from the
+// same trees. The converter emits neither shape (its elements carry only
+// val), so the test seeds both straight into two finished shard
+// checkpoints and lets the build resume from them.
 func TestBuildShardedKeepsNamesAndValuesVerbatim(t *testing.T) {
 	sources := streamSources(12, 5)
-	for i := range sources {
-		inject := `<education x:y="1">Education</education>`
-		if i%2 == 1 {
-			inject = "<p val=\"a\rb\">"
+	p := resumePipeline(t)
+	acc := schema.NewAccumulator(0)
+	docs := make([]*Document, len(sources))
+	for i, s := range sources {
+		docs[i] = convertOne(t, p, s)
+		if i%2 == 0 {
+			docs[i].XML.SetAttr("x:y", "1")
+		} else {
+			docs[i].XML.AppendVal("a\rb")
 		}
-		sources[i].HTML = strings.Replace(sources[i].HTML, "<body>", "<body>"+inject, 1)
+		acc.Add(i, p.ExtractPaths(docs[i]))
 	}
-	want := renderDiskRepo(t, singleProcessRepo(t, sources))
+	ref, err := p.BuildFromStats(context.Background(), docs, acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderRepo(ref)
 	if !strings.Contains(want, ` x:y="1"`) || !strings.Contains(want, "a\rb") {
-		t.Fatal("the reference build lost the injected name or CR")
+		t.Fatal("the reference build lost the seeded name or CR")
 	}
-	res, err := resumePipeline(t).BuildShardedFrom(context.Background(), len(sources), sourceAt(sources), ShardOptions{Shards: 2, Dir: t.TempDir()})
+
+	const shards = 2
+	dir := t.TempDir()
+	for sh := 0; sh < shards; sh++ {
+		start, end := shardRange(len(docs), shards, sh)
+		conv, err := repository.CreateDiskStore(filepath.Join(shardDir(dir, sh), "conv"), repository.DiskOptions{MaxResidentDocs: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range docs[start:end] {
+			if err := conv.Append(d.Source, d.XML); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := conv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := json.Marshal(shardState{Version: shardStateVersion, Start: start, End: end, Done: end - start, Stored: end - start})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(shardDir(dir, sh), shardStateFile), st, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := p.BuildShardedFrom(context.Background(), len(sources), func(i int) (Source, error) {
+		return Source{}, fmt.Errorf("source %d read, but every shard had finished converting", i)
+	}, ShardOptions{Shards: shards, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer res.Repo.Store().Close()
 	if got := renderDiskRepo(t, res.Repo); got != want {
-		t.Fatalf("2-shard output differs from BuildRepository's:\n%s\nwant\n%s", got, want)
+		t.Fatalf("2-shard output differs from BuildFromStats':\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestBuildShardedConceptNamedMarkup: a page holding an HTML element named
+// like a concept, with an attribute whose name is not an XML name, builds.
+// The converter once kept the element's HTML attributes, so the stored
+// document failed to decode and the whole build failed in its map phase.
+func TestBuildShardedConceptNamedMarkup(t *testing.T) {
+	sources := []Source{
+		{Name: "a.html", HTML: `<html><body><h1>Jane Doe</h1><h2>Education</h2><ul><li>MIT, B.S., June 1999</li></ul></body></html>`},
+		{Name: "b.html", HTML: `<html><body><h1>John Roe</h1><EduCAtion! x="1">Stanford University, M.S., 1998</EduCAtion!></body></html>`},
+	}
+	want := renderDiskRepo(t, singleProcessRepo(t, sources))
+	res, err := resumePipeline(t).BuildShardedFrom(context.Background(), len(sources), sourceAt(sources), ShardOptions{Shards: 1, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Repo.Store().Close()
+	if got := renderDiskRepo(t, res.Repo); got != want {
+		t.Fatalf("sharded output differs from BuildRepository's:\n%s\nwant\n%s", got, want)
+	}
+	if !strings.Contains(want, `<education val="1998">`) {
+		t.Fatalf("the concept-named element lost its val or kept an HTML attribute:\n%s", want)
 	}
 }
 

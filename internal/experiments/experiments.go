@@ -176,8 +176,16 @@ type ScalabilityResult struct {
 	R2 float64
 }
 
+// scaleRepeats is how often RunScalability times each corpus size. A
+// point keeps the fastest run: a single timing of a few milliseconds
+// carries enough scheduler and GC noise to break the linear fit.
+const scaleRepeats = 5
+
 // RunScalability runs conversion + schema discovery for growing corpus
-// slices (the paper scales to 380 documents) and fits time vs size.
+// slices (the paper scales to 380 documents) and fits time vs size. Each
+// size is timed as the fastest of scaleRepeats runs, taken in rounds over
+// all sizes, so a burst of host load slows one run of several sizes rather
+// than every run of one.
 func RunScalability(sizes []int, seed int64) ScalabilityResult {
 	g := corpus.New(corpus.Options{Seed: seed})
 	max := 0
@@ -189,8 +197,7 @@ func RunScalability(sizes []int, seed int64) ScalabilityResult {
 	all := g.Corpus(max)
 	conv := resumeConverter()
 	set := concept.ResumeSet()
-	var res ScalabilityResult
-	for _, n := range sizes {
+	run := func(n int) ScalePoint {
 		start := time.Now()
 		var docs []*schema.DocPaths
 		nodes, conceptNodes := 0, 0
@@ -204,12 +211,20 @@ func RunScalability(sizes []int, seed int64) ScalabilityResult {
 		m := &schema.Miner{SupThreshold: 0.5, RatioThreshold: 0.1,
 			Constraints: concept.ResumeConstraints(), Set: set}
 		m.Discover(docs)
-		res.Points = append(res.Points, ScalePoint{
+		return ScalePoint{
 			Docs:         n,
 			Nodes:        nodes,
 			ConceptNodes: conceptNodes,
 			Millis:       float64(time.Since(start).Microseconds()) / 1000.0,
-		})
+		}
+	}
+	res := ScalabilityResult{Points: make([]ScalePoint, len(sizes))}
+	for i := 0; i < scaleRepeats; i++ {
+		for j, n := range sizes {
+			if p := run(n); i == 0 || p.Millis < res.Points[j].Millis {
+				res.Points[j] = p
+			}
+		}
 	}
 	res.R2 = linearR2(res.Points)
 	return res
@@ -242,7 +257,7 @@ func linearR2(pts []ScalePoint) float64 {
 func (r ScalabilityResult) Report() string {
 	var b strings.Builder
 	b.WriteString("E3 — Scalability (Figure 5, §4.3): convert + discover, growing corpus\n")
-	b.WriteString("    docs     nodes  concept-nodes   time(ms)\n")
+	fmt.Fprintf(&b, "    docs     nodes  concept-nodes   time(ms, fastest of %d)\n", scaleRepeats)
 	for _, p := range r.Points {
 		fmt.Fprintf(&b, "  %6d  %8d  %13d  %9.1f\n", p.Docs, p.Nodes, p.ConceptNodes, p.Millis)
 	}
@@ -359,7 +374,7 @@ func RunSchemaComparison(nDocs int, seed int64) SchemaComparisonResult {
 			if d.Conforms(conformed) {
 				ok++
 			}
-			dist += TreeDistanceFast(tr, conformed)
+			dist += treeDistanceFast(tr, conformed)
 			if orig := tr.CountElements(); orig > 0 {
 				kept := conformed.CountElements() - stats.Inserted
 				if kept < 0 {
@@ -383,14 +398,14 @@ func RunSchemaComparison(nDocs int, seed int64) SchemaComparisonResult {
 	return res
 }
 
-// TreeDistanceFast computes the unit-cost tree edit distance, guarding
+// treeDistanceFast computes the unit-cost tree edit distance, guarding
 // against quadratic blowup on very large documents by capping input size.
-func TreeDistanceFast(a, b *dom.Node) float64 {
+func treeDistanceFast(a, b *dom.Node) float64 {
 	const maxNodes = 400
 	if a.CountNodes() > maxNodes || b.CountNodes() > maxNodes {
 		return float64(abs(a.CountNodes() - b.CountNodes()))
 	}
-	return mapping.TreeDistance(a, b, mapping.UnitCosts())
+	return mapping.TreeDistance(a, b)
 }
 
 func abs(x int) int {

@@ -1,16 +1,11 @@
 package mapping
 
-import (
-	"sync/atomic"
-
-	"webrev/internal/dom"
-	"webrev/internal/dtd"
-)
+import "webrev/internal/dtd"
 
 // compiledElem is the per-element conformance table: the declaration plus
-// the membership and content-model-position maps that conformNode and
-// conformNodeScript previously rebuilt for every node visit. Read-only
-// after construction, shared across parallel mapping workers.
+// the membership and content-model-position maps conformNode would
+// otherwise rebuild for every node visit. Read-only after construction,
+// shared across parallel mapping workers.
 type compiledElem struct {
 	decl    *dtd.Element
 	inModel map[string]bool // child tags admitted by the content model
@@ -21,10 +16,6 @@ type compiledElem struct {
 type compiledDTD struct {
 	elems map[string]*compiledElem
 }
-
-// conformMemoHits counts Conform/ConformScript calls that found the
-// compiled index already cached on the DTD (see MemoStats).
-var conformMemoHits atomic.Int64
 
 // Precompile builds the conformance index for d and caches it on the DTD,
 // so subsequent Conform/ConformScript calls — including concurrent ones —
@@ -44,7 +35,6 @@ func Precompile(d *dtd.DTD) {
 // it on a miss. hit reports whether the index was already cached.
 func compiledIndex(d *dtd.DTD) (cd *compiledDTD, hit bool) {
 	if cd, ok := d.Compiled().(*compiledDTD); ok {
-		conformMemoHits.Add(1)
 		return cd, true
 	}
 	cd = buildCompiled(d)
@@ -74,152 +64,4 @@ func buildCompiled(d *dtd.DTD) *compiledDTD {
 		cd.elems[el.Name] = ce
 	}
 	return cd
-}
-
-// conformNode is the non-recording twin of conformNodeScript: it applies
-// the identical transformation and counts edits into st without building
-// paths, details, or a Script. The two are kept in lockstep by the
-// equivalence property test in script_test.go.
-func conformNode(n *dom.Node, cd *compiledDTD, st *EditStats) {
-	ce := cd.elems[n.Tag]
-	if ce == nil {
-		return
-	}
-	model := ce.decl.Children
-
-	for changed := true; changed; {
-		changed = false
-		for _, c := range n.Children {
-			if c.Type != dom.ElementNode || ce.inModel[c.Tag] {
-				continue
-			}
-			if len(c.Children) == 0 {
-				n.AppendVal(c.Val())
-				n.AppendVal(c.Text)
-				c.Detach()
-				st.Deleted++
-			} else {
-				n.AppendVal(c.Val())
-				c.SpliceUp()
-				st.Unwrapped++
-			}
-			changed = true
-			break
-		}
-	}
-
-	buckets := make([][]*dom.Node, len(model))
-	kids := make([]*dom.Node, len(n.Children))
-	copy(kids, n.Children)
-	orderChanged := false
-	prevPos := -1
-	for _, c := range kids {
-		if c.Type != dom.ElementNode {
-			if c.Type == dom.TextNode {
-				n.AppendVal(c.Text)
-			}
-			c.Detach()
-			continue
-		}
-		p := ce.pos[c.Tag]
-		if p < prevPos {
-			orderChanged = true
-		}
-		prevPos = p
-		c.Detach()
-		buckets[p] = append(buckets[p], c)
-	}
-	if orderChanged {
-		st.Reordered++
-	}
-
-	for i, spec := range model {
-		b := buckets[i]
-		if spec.Group != nil {
-			for _, c := range assembleGroupFast(spec, b, st) {
-				n.AppendChild(c)
-			}
-			continue
-		}
-		switch spec.Repeat {
-		case dtd.One, dtd.Opt:
-			if len(b) > 1 {
-				head := b[0]
-				for _, extra := range b[1:] {
-					head.AppendVal(extra.Val())
-					head.AdoptChildren(extra)
-					st.Merged++
-				}
-				b = b[:1]
-			}
-			if len(b) == 0 && spec.Repeat == dtd.One {
-				b = append(b, dom.NewElement(spec.Name))
-				st.Inserted++
-			}
-		case dtd.Plus:
-			if len(b) == 0 {
-				b = append(b, dom.NewElement(spec.Name))
-				st.Inserted++
-			}
-		}
-		for _, c := range b {
-			n.AppendChild(c)
-		}
-	}
-
-	for _, c := range n.Children {
-		conformNode(c, cd, st)
-	}
-}
-
-// assembleGroupFast is assembleGroup without operation recording.
-func assembleGroupFast(spec dtd.Child, b []*dom.Node, st *EditStats) []*dom.Node {
-	byName := make(map[string][]*dom.Node, len(spec.Group))
-	for _, c := range b {
-		byName[c.Tag] = append(byName[c.Tag], c)
-	}
-	k := 0
-	for _, m := range spec.Group {
-		if l := len(byName[m.Name]); l > k {
-			k = l
-		}
-	}
-	switch spec.Repeat {
-	case dtd.One, dtd.Opt:
-		if k > 1 {
-			for _, m := range spec.Group {
-				occ := byName[m.Name]
-				if len(occ) > 1 {
-					head := occ[0]
-					for _, extra := range occ[1:] {
-						head.AppendVal(extra.Val())
-						head.AdoptChildren(extra)
-						st.Merged++
-					}
-					byName[m.Name] = occ[:1]
-				}
-			}
-			k = 1
-		}
-		if k == 0 && spec.Repeat == dtd.One {
-			k = 1
-		}
-	case dtd.Plus:
-		if k == 0 {
-			k = 1
-		}
-	}
-	var out []*dom.Node
-	for t := 0; t < k; t++ {
-		for _, m := range spec.Group {
-			occ := byName[m.Name]
-			if t < len(occ) {
-				out = append(out, occ[t])
-				continue
-			}
-			out = append(out, dom.NewElement(m.Name))
-			st.Inserted++
-		}
-	}
-	return out
 }

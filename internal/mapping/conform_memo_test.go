@@ -8,9 +8,10 @@ import (
 	"webrev/internal/obs"
 )
 
-// TestConformGroupParity drives the group-particle paths of the fast
-// non-recording conformNode (assembleGroupFast) against ConformScript on
-// every tuple shape: complete, missing member, surplus under One, empty.
+// TestConformGroupParity drives assembleGroup through Conform and
+// ConformScript on every tuple shape (complete, missing member, surplus
+// under One, empty): recording the script must not change the
+// transformation or the counts.
 func TestConformGroupParity(t *testing.T) {
 	src := `<!ELEMENT resume ((#PCDATA), education)>
 <!ELEMENT education ((#PCDATA), (institution, degree)+)>
@@ -39,7 +40,7 @@ func TestConformGroupParity(t *testing.T) {
 			fast, stats := Conform(doc, dd)
 			scripted, script := ConformScript(doc, dd)
 			if !fast.Equal(scripted) {
-				t.Fatalf("case %d (%s): fast and scripted trees differ", i, dd.RootName)
+				t.Fatalf("case %d (%s): counted and scripted trees differ", i, dd.RootName)
 			}
 			if stats != script.Stats() {
 				t.Fatalf("case %d (%s): stats %+v != script stats %+v", i, dd.RootName, stats, script.Stats())
@@ -49,8 +50,8 @@ func TestConformGroupParity(t *testing.T) {
 			}
 		}
 	}
-	// Surplus members under a One group must merge identically on both
-	// paths (two phones into the tuple's single slot).
+	// Surplus members under a One group must merge identically with and
+	// without a script (two phones into the tuple's single slot).
 	doc := el("resume", el("name"), el("phone"), el("phone"))
 	fast, stats := Conform(doc, dOne)
 	scripted, script := ConformScript(doc, dOne)

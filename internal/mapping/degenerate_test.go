@@ -44,7 +44,7 @@ func TestTreeDistanceDegenerate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := TreeDistance(tc.a, tc.b, UnitCosts()); got != tc.want {
+			if got := TreeDistance(tc.a, tc.b); got != tc.want {
 				t.Fatalf("TreeDistance = %v, want %v", got, tc.want)
 			}
 		})
@@ -60,8 +60,8 @@ func TestTreeDistanceDegenerateSymmetry(t *testing.T) {
 	shapes = append(shapes, deep)
 	for i, a := range shapes {
 		for j, b := range shapes {
-			ab := TreeDistance(a, b, UnitCosts())
-			ba := TreeDistance(b, a, UnitCosts())
+			ab := TreeDistance(a, b)
+			ba := TreeDistance(b, a)
 			if ab != ba {
 				t.Fatalf("asymmetry between shapes %d and %d: %v vs %v", i, j, ab, ba)
 			}

@@ -7,8 +7,7 @@
 //
 // # Cost model
 //
-// TreeDistance charges per elementary operation under a Costs table; the
-// standard UnitCosts model is:
+// TreeDistance charges unit cost per elementary operation:
 //
 //	operation            cost  applied to
 //	insert node          1     every node of the target absent from the source
@@ -30,15 +29,14 @@
 // O(|T1|·|T2|) space — quadratic in document size even for flat trees, so
 // callers mapping untrusted corpora should bound input size (see
 // core.Limits). Degenerate trees are safe: nil roots are treated as empty
-// trees (distance = cost of inserting/deleting the other side), and
+// trees (distance = the other side's node count), and
 // single-node and comment-only trees take the n==0/m==0 fast path or the
 // ordinary recurrence without special cases.
 //
 // # Performance model
 //
-// TreeDistance is on the mapping hot path (experiment E5 computes it per
-// document, and the incremental-recrawl direction needs it per delta), so
-// the implementation is allocation-free at steady state:
+// TreeDistance runs once per document and schema variant in experiment E5,
+// so the implementation is allocation-free at steady state:
 //
 //   - Every call borrows a pooled scratch (sync.Pool) holding the two
 //     postorder representations, the interned label table, and the flat
@@ -47,104 +45,37 @@
 //     to a dense int32 id (text nodes hash their content without building
 //     the "#text:" key) and an FNV-1a structure hash of its subtree —
 //     label plus child hashes — is memoized per node.
-//   - Structurally identical trees short-circuit to distance 0 under any
-//     cost model whose same-label rename cost is zero: equal root hashes
-//     are verified with an exact O(n) shape comparison (hash collisions
-//     can never produce a wrong distance), counted by MemoStats.
-//   - The canonical UnitCosts model runs a devirtualized kernel comparing
-//     interned label ids directly; custom cost tables take the generic
-//     kernel, which performs the identical float operations in the same
-//     order, so both kernels return bit-identical distances (pinned by
-//     the memo-vs-naive property and fuzz tests).
+//   - Structurally identical trees short-circuit to distance 0: equal root
+//     hashes are verified with an exact O(n) shape comparison (hash
+//     collisions can never produce a wrong distance).
+//   - The kernel compares interned label ids directly; the property and
+//     fuzz tests pin it to a textbook reference that compares label
+//     strings over fresh matrices.
 package mapping
 
 import (
-	"reflect"
 	"sync"
 	"sync/atomic"
 
 	"webrev/internal/dom"
 )
 
-// Costs parameterizes the edit distance. The zero value is invalid; use
-// UnitCosts. Cost functions must be non-negative. Replacing individual
-// fields of a UnitCosts() value is allowed and routes the computation to
-// the generic kernel.
-type Costs struct {
-	Insert func(n *dom.Node) float64
-	Delete func(n *dom.Node) float64
-	Rename func(a, b *dom.Node) float64
-}
-
-func unitInsert(*dom.Node) float64 { return 1 }
-func unitDelete(*dom.Node) float64 { return 1 }
-func unitRename(a, b *dom.Node) float64 {
-	if label(a) == label(b) {
-		return 0
-	}
-	return 1
-}
-
-// UnitCosts returns the standard unit-cost model: 1 per insert/delete, 1 per
-// rename of differing labels, 0 for matching labels.
-func UnitCosts() Costs {
-	return Costs{Insert: unitInsert, Delete: unitDelete, Rename: unitRename}
-}
-
-func label(n *dom.Node) string {
-	if n.Type == dom.TextNode {
-		return "#text:" + n.Text
-	}
-	return n.Tag
-}
-
 // treeMemoHits counts identical-tree short-circuits across all TreeDistance
-// calls (see MemoStats).
+// calls, so a test can tell the short-circuit from the full DP.
 var treeMemoHits atomic.Int64
 
-// TreeDistance computes the Zhang–Shasha ordered tree edit distance between
-// the trees rooted at t1 and t2 under the given cost model. Element and
-// text nodes participate; comments and doctypes are ignored. A nil root is
-// an empty tree: the distance degenerates to the cost of inserting (or
-// deleting) every node of the other side, and two nil roots are at
-// distance 0.
-func TreeDistance(t1, t2 *dom.Node, costs Costs) float64 {
+// TreeDistance computes the unit-cost Zhang–Shasha ordered tree edit
+// distance between the trees rooted at t1 and t2. Element and text nodes
+// participate; comments and doctypes are ignored. A nil root is an empty
+// tree: the distance is the node count of the other side, and two nil
+// roots are at distance 0.
+func TreeDistance(t1, t2 *dom.Node) float64 {
 	sc := scratchPool.Get().(*zsScratch)
 	defer scratchPool.Put(sc)
 	clear(sc.labels)
 	sc.a.build(t1, sc)
 	sc.b.build(t2, sc)
-	return zhangShasha(&sc.a, &sc.b, costs, sc)
-}
-
-// treeDistanceNaive is the unpooled, unmemoized reference implementation
-// the property and fuzz tests compare TreeDistance against: fresh
-// allocations, generic kernel, no identical-tree short-circuit.
-func treeDistanceNaive(t1, t2 *dom.Node, costs Costs) float64 {
-	sc := &zsScratch{labels: make(map[labelKey]int32)}
-	sc.a.build(t1, sc)
-	sc.b.build(t2, sc)
-	a, b := &sc.a, &sc.b
-	n, m := len(a.nodes), len(b.nodes)
-	if n == 0 || m == 0 {
-		return emptyDistance(a, b, costs)
-	}
-	td := make([]float64, n*m)
-	fd := make([]float64, (n+1)*(m+1))
-	for _, i := range a.keyrs {
-		for _, j := range b.keyrs {
-			treedistGeneric(a, b, i, j, td, fd, costs)
-		}
-	}
-	return td[(n-1)*m+m-1]
-}
-
-// MemoStats reports the cumulative effectiveness of the mapping memos: the
-// number of TreeDistance calls short-circuited by the subtree-hash identity
-// check (TreeHits) and the number of Conform calls that reused a compiled
-// DTD index (ConformHits). Counters are process-wide and monotone.
-func MemoStats() (treeHits, conformHits int64) {
-	return treeMemoHits.Load(), conformMemoHits.Load()
+	return zhangShasha(&sc.a, &sc.b, sc)
 }
 
 // labelKey distinguishes text-node content from a same-spelled element tag
@@ -215,32 +146,6 @@ func hashUint64(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h = (h ^ (v & 0xff)) * fnvPrime
 		v >>= 8
-	}
-	return h
-}
-
-// SubtreeHash returns the FNV-1a structure hash of the subtree rooted at n
-// under the edit-distance node model (elements by tag, text nodes by
-// content, comments and doctypes ignored). Equal trees always hash equal;
-// the hash is stable across calls and processes, which is what makes it
-// usable as a cheap change detector for incremental delta builds.
-func SubtreeHash(n *dom.Node) uint64 {
-	if n == nil {
-		return fnvOffset
-	}
-	h := fnvOffset
-	if n.Type == dom.TextNode {
-		h = hashByte(h, 2)
-		h = hashString(h, n.Text)
-	} else {
-		h = hashByte(h, 1)
-		h = hashString(h, n.Tag)
-	}
-	for _, c := range n.Children {
-		if c.Type != dom.ElementNode && c.Type != dom.TextNode {
-			continue
-		}
-		h = hashUint64(h, SubtreeHash(c))
 	}
 	return h
 }
@@ -328,66 +233,22 @@ func sameShape(a, b *ordered) bool {
 	return true
 }
 
-// isUnit reports whether all three cost functions are the canonical unit
-// model, enabling the devirtualized kernel. Detection is by code pointer,
-// so a UnitCosts() value with any field replaced takes the generic kernel.
-func (c Costs) isUnit() bool {
-	return funcEq(c.Insert, unitInsert) && funcEq(c.Delete, unitDelete) &&
-		funcEq2(c.Rename, unitRename)
-}
-
-// funcEq / funcEq2 compare function values by code pointer. Func values are
-// pointer-shaped, so the reflect conversions below do not allocate — pinned
-// by the steady-state AllocsPerRun test on TreeDistance.
-func funcEq(f, g func(*dom.Node) float64) bool {
-	return f != nil && reflect.ValueOf(f).Pointer() == reflect.ValueOf(g).Pointer()
-}
-
-func funcEq2(f, g func(a, b *dom.Node) float64) bool {
-	return f != nil && reflect.ValueOf(f).Pointer() == reflect.ValueOf(g).Pointer()
-}
-
-// zeroSameRename reports whether the rename cost of equal labels is zero —
-// the property that makes "identical trees ⇒ distance 0" hold regardless
-// of the insert/delete costs.
-func (c Costs) zeroSameRename() bool { return funcEq2(c.Rename, unitRename) }
-
-func emptyDistance(a, b *ordered, costs Costs) float64 {
-	var d float64
-	for _, x := range a.nodes {
-		d += costs.Delete(x)
-	}
-	for _, x := range b.nodes {
-		d += costs.Insert(x)
-	}
-	return d
-}
-
-func zhangShasha(a, b *ordered, costs Costs, sc *zsScratch) float64 {
+func zhangShasha(a, b *ordered, sc *zsScratch) float64 {
 	n, m := len(a.nodes), len(b.nodes)
 	if n == 0 || m == 0 {
-		return emptyDistance(a, b, costs)
+		return float64(n + m)
 	}
 	// Memoized-subtree short-circuit: identical root hashes, verified by an
-	// exact shape comparison, mean distance 0 under any zero-same-rename
-	// cost model — no matrices touched.
-	if n == m && a.hash[n-1] == b.hash[m-1] && costs.zeroSameRename() && sameShape(a, b) {
+	// exact shape comparison, mean distance 0 — no matrices touched.
+	if n == m && a.hash[n-1] == b.hash[m-1] && sameShape(a, b) {
 		treeMemoHits.Add(1)
 		return 0
 	}
 	td := growFloats(&sc.td, n*m)
 	fd := growFloats(&sc.fd, (n+1)*(m+1))
-	if costs.isUnit() {
-		for _, i := range a.keyrs {
-			for _, j := range b.keyrs {
-				treedistUnit(a, b, i, j, td, fd)
-			}
-		}
-	} else {
-		for _, i := range a.keyrs {
-			for _, j := range b.keyrs {
-				treedistGeneric(a, b, i, j, td, fd, costs)
-			}
+	for _, i := range a.keyrs {
+		for _, j := range b.keyrs {
+			treedist(a, b, i, j, td, fd)
 		}
 	}
 	return td[(n-1)*m+m-1]
@@ -402,13 +263,10 @@ func growFloats(s *[]float64, want int) []float64 {
 	return (*s)[:want]
 }
 
-// treedistUnit fills the td entries for the subtree pair rooted at
-// postorder i of a and j of b under the canonical unit-cost model: the
-// classic forest-distance recurrence with interned-label comparison in
-// place of cost-function calls. It performs the same float additions in
-// the same order as treedistGeneric with UnitCosts, so the two are
-// bit-identical.
-func treedistUnit(a, b *ordered, i, j int, td, fd []float64) {
+// treedist fills the td entries for the subtree pair rooted at postorder i
+// of a and j of b: the classic forest-distance recurrence at unit cost,
+// comparing interned label ids.
+func treedist(a, b *ordered, i, j int, td, fd []float64) {
 	m := len(b.nodes)
 	m1 := m + 1
 	li, lj := a.lmld[i], b.lmld[j]
@@ -437,46 +295,6 @@ func treedistUnit(a, b *ordered, i, j int, td, fd []float64) {
 				v := min3(
 					fd[row+dj+1]+1,
 					fd[row1+dj]+1,
-					fd[alm*m1+b.lmld[dj]]+td[tdrow+dj],
-				)
-				fd[row1+dj+1] = v
-			}
-		}
-	}
-}
-
-// treedistGeneric is the cost-table kernel (the classic forest-distance
-// recurrence) over the flat matrices.
-func treedistGeneric(a, b *ordered, i, j int, td, fd []float64, costs Costs) {
-	m := len(b.nodes)
-	m1 := m + 1
-	li, lj := a.lmld[i], b.lmld[j]
-	fd[li*m1+lj] = 0
-	for di := li; di <= i; di++ {
-		fd[(di+1)*m1+lj] = fd[di*m1+lj] + costs.Delete(a.nodes[di])
-	}
-	for dj := lj; dj <= j; dj++ {
-		fd[li*m1+dj+1] = fd[li*m1+dj] + costs.Insert(b.nodes[dj])
-	}
-	for di := li; di <= i; di++ {
-		alm := a.lmld[di]
-		an := a.nodes[di]
-		row := di * m1
-		row1 := row + m1
-		tdrow := di * m
-		for dj := lj; dj <= j; dj++ {
-			if alm == li && b.lmld[dj] == lj {
-				v := min3(
-					fd[row+dj+1]+costs.Delete(an),
-					fd[row1+dj]+costs.Insert(b.nodes[dj]),
-					fd[row+dj]+costs.Rename(an, b.nodes[dj]),
-				)
-				fd[row1+dj+1] = v
-				td[tdrow+dj] = v
-			} else {
-				v := min3(
-					fd[row+dj+1]+costs.Delete(an),
-					fd[row1+dj]+costs.Insert(b.nodes[dj]),
 					fd[alm*m1+b.lmld[dj]]+td[tdrow+dj],
 				)
 				fd[row1+dj+1] = v

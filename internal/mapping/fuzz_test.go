@@ -40,8 +40,8 @@ func pruneTo(root *dom.Node, capN int) *dom.Node {
 
 // FuzzTreeDistance parses two fuzzed HTML documents and checks the edit
 // distance invariants: no panic on any input, distance non-negative,
-// symmetric under unit costs, zero against itself, and — the memo
-// equivalence — bit-identical to the naive unmemoized reference.
+// symmetric, zero against itself, and — the memo equivalence —
+// bit-identical to the textbook reference.
 func FuzzTreeDistance(f *testing.F) {
 	g := corpus.New(corpus.Options{Seed: 23})
 	rs := g.Corpus(3)
@@ -65,18 +65,17 @@ func FuzzTreeDistance(f *testing.F) {
 		}
 		t1 := pruneTo(htmlparse.Parse(src1), fuzzTreeCap)
 		t2 := pruneTo(htmlparse.Parse(src2), fuzzTreeCap)
-		costs := UnitCosts()
-		d := TreeDistance(t1, t2, costs)
+		d := TreeDistance(t1, t2)
 		if d < 0 {
 			t.Fatalf("negative distance %v", d)
 		}
-		if got := treeDistanceNaive(t1, t2, costs); got != d {
+		if got := treeDistanceNaive(t1, t2); got != d {
 			t.Fatalf("memo distance %v != naive %v", d, got)
 		}
-		if back := TreeDistance(t2, t1, costs); back != d {
+		if back := TreeDistance(t2, t1); back != d {
 			t.Fatalf("asymmetric: d(a,b)=%v d(b,a)=%v", d, back)
 		}
-		if self := TreeDistance(t1, t1, costs); self != 0 {
+		if self := TreeDistance(t1, t1); self != 0 {
 			t.Fatalf("d(t,t) = %v", self)
 		}
 	})

@@ -16,7 +16,7 @@ func el(tag string, children ...*dom.Node) *dom.Node {
 
 func TestTreeDistanceIdentity(t *testing.T) {
 	a := el("resume", el("contact"), el("education", el("degree"), el("date")))
-	if d := TreeDistance(a, a.Clone(), UnitCosts()); d != 0 {
+	if d := TreeDistance(a, a.Clone()); d != 0 {
 		t.Fatalf("identity distance = %v", d)
 	}
 }
@@ -25,17 +25,17 @@ func TestTreeDistanceSingleOps(t *testing.T) {
 	base := el("resume", el("contact"), el("education"))
 	// One rename.
 	ren := el("resume", el("contact"), el("experience"))
-	if d := TreeDistance(base, ren, UnitCosts()); d != 1 {
+	if d := TreeDistance(base, ren); d != 1 {
 		t.Fatalf("rename distance = %v", d)
 	}
 	// One insert.
 	ins := el("resume", el("contact"), el("education"), el("skills"))
-	if d := TreeDistance(base, ins, UnitCosts()); d != 1 {
+	if d := TreeDistance(base, ins); d != 1 {
 		t.Fatalf("insert distance = %v", d)
 	}
 	// One delete.
 	del := el("resume", el("contact"))
-	if d := TreeDistance(base, del, UnitCosts()); d != 1 {
+	if d := TreeDistance(base, del); d != 1 {
 		t.Fatalf("delete distance = %v", d)
 	}
 }
@@ -43,12 +43,12 @@ func TestTreeDistanceSingleOps(t *testing.T) {
 func TestTreeDistanceNested(t *testing.T) {
 	a := el("resume", el("education", el("degree"), el("date")))
 	b := el("resume", el("education", el("degree")))
-	if d := TreeDistance(a, b, UnitCosts()); d != 1 {
+	if d := TreeDistance(a, b); d != 1 {
 		t.Fatalf("distance = %v", d)
 	}
 	// Known textbook case: swapping structure costs more.
 	c := el("resume", el("degree", el("education"), el("date")))
-	if d := TreeDistance(a, c, UnitCosts()); d != 2 {
+	if d := TreeDistance(a, c); d != 2 {
 		t.Fatalf("swap distance = %v, want 2 (two renames)", d)
 	}
 }
@@ -58,7 +58,7 @@ func TestTreeDistanceTextNodes(t *testing.T) {
 	a.AppendChild(dom.NewText("hello"))
 	b := el("x")
 	b.AppendChild(dom.NewText("world"))
-	if d := TreeDistance(a, b, UnitCosts()); d != 1 {
+	if d := TreeDistance(a, b); d != 1 {
 		t.Fatalf("text rename distance = %v", d)
 	}
 }
@@ -80,16 +80,16 @@ func TestPropertyDistanceMetricAxioms(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b, c := randTree(r, 10), randTree(r, 10), randTree(r, 10)
-		dab := TreeDistance(a, b, UnitCosts())
-		dba := TreeDistance(b, a, UnitCosts())
+		dab := TreeDistance(a, b)
+		dba := TreeDistance(b, a)
 		if dab != dba { // symmetry under unit costs
 			return false
 		}
-		if TreeDistance(a, a, UnitCosts()) != 0 { // identity
+		if TreeDistance(a, a) != 0 { // identity
 			return false
 		}
-		dac := TreeDistance(a, c, UnitCosts())
-		dbc := TreeDistance(b, c, UnitCosts())
+		dac := TreeDistance(a, c)
+		dbc := TreeDistance(b, c)
 		return dac <= dab+dbc+1e-9 // triangle inequality
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -261,26 +261,12 @@ func TestPropertyConformAlwaysValidates(t *testing.T) {
 	}
 }
 
-func TestTreeDistanceCustomCosts(t *testing.T) {
-	// Doubling insert cost doubles the pure-insert distance.
-	a := el("r")
-	b := el("r", el("x"), el("y"))
-	costs := UnitCosts()
-	if d := TreeDistance(a, b, costs); d != 2 {
-		t.Fatalf("unit distance = %v", d)
-	}
-	costs.Insert = func(*dom.Node) float64 { return 2 }
-	if d := TreeDistance(a, b, costs); d != 4 {
-		t.Fatalf("weighted distance = %v", d)
-	}
-}
-
 func TestTreeDistanceLargerStructures(t *testing.T) {
 	// Known distance on a deeper pair: move a leaf between parents costs
 	// one delete + one insert under unit costs (ordered trees).
 	a := el("r", el("p", el("x")), el("q"))
 	b := el("r", el("p"), el("q", el("x")))
-	if d := TreeDistance(a, b, UnitCosts()); d != 2 {
+	if d := TreeDistance(a, b); d != 2 {
 		t.Fatalf("move distance = %v, want 2", d)
 	}
 }
@@ -290,14 +276,20 @@ func BenchmarkTreeDistance(b *testing.B) {
 	t1, t2 := randTree(r, 40), randTree(r, 40)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		TreeDistance(t1, t2, UnitCosts())
+		TreeDistance(t1, t2)
 	}
+}
+
+// benchConformDoc needs a delete and a reorder at two levels against
+// resumeDTD.
+func benchConformDoc() *dom.Node {
+	return el("resume", el("education", el("date"), el("degree")), el("junk"), el("contact"))
 }
 
 func BenchmarkConform(b *testing.B) {
 	var tt testing.T
 	d := resumeDTD(&tt)
-	doc := el("resume", el("education", el("date"), el("degree")), el("junk"), el("contact"))
+	doc := benchConformDoc()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Conform(doc, d)

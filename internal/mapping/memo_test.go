@@ -28,74 +28,23 @@ func randDoc(r *rand.Rand, maxNodes int) *dom.Node {
 	return root
 }
 
-// customCosts is a non-canonical model (insert 2, delete 3, rename 1.5/0)
-// that must route TreeDistance through the generic kernel.
-func customCosts() Costs {
-	return Costs{
-		Insert: func(*dom.Node) float64 { return 2 },
-		Delete: func(*dom.Node) float64 { return 3 },
-		Rename: func(a, b *dom.Node) float64 {
-			if label(a) == label(b) {
-				return 0
-			}
-			return 1.5
-		},
-	}
-}
-
 // TestPropertyMemoMatchesNaive is the central equivalence property: the
-// pooled, memoized, kernel-specialized TreeDistance must be bit-identical
-// (float64 ==, not approximately equal) to the fresh-allocation naive
-// reference on randomized document pairs, under both the canonical unit
-// model and a custom cost table.
+// pooled, memoized, interned-label TreeDistance must be bit-identical
+// (float64 ==, not approximately equal) to the textbook reference on
+// randomized document pairs.
 func TestPropertyMemoMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randDoc(r, 30), randDoc(r, 30)
-		for _, costs := range []Costs{UnitCosts(), customCosts()} {
-			if TreeDistance(a, b, costs) != treeDistanceNaive(a, b, costs) {
-				return false
-			}
+		if TreeDistance(a, b) != treeDistanceNaive(a, b) {
+			return false
 		}
 		// Identical-tree pairs hit the memo short-circuit; the naive path
 		// computes the full matrix. Both must be exactly 0.
 		c := a.Clone()
-		if TreeDistance(a, c, UnitCosts()) != 0 || treeDistanceNaive(a, c, UnitCosts()) != 0 {
-			return false
-		}
-		return true
+		return TreeDistance(a, c) == 0 && treeDistanceNaive(a, c) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPropertyUnitKernelMatchesClosures pins the devirtualization seam: the
-// named-function unit model (specialized kernel) and semantically identical
-// closures (generic kernel) must produce bit-identical distances.
-func TestPropertyUnitKernelMatchesClosures(t *testing.T) {
-	closures := Costs{
-		Insert: func(*dom.Node) float64 { return 1 },
-		Delete: func(*dom.Node) float64 { return 1 },
-		Rename: func(a, b *dom.Node) float64 {
-			if label(a) == label(b) {
-				return 0
-			}
-			return 1
-		},
-	}
-	if closures.isUnit() {
-		t.Fatal("closure costs must not be detected as the canonical unit model")
-	}
-	if !UnitCosts().isUnit() {
-		t.Fatal("UnitCosts must be detected as the canonical unit model")
-	}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randDoc(r, 25), randDoc(r, 25)
-		return TreeDistance(a, b, UnitCosts()) == TreeDistance(a, b, closures)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -106,10 +55,10 @@ func TestPropertySymmetryAndIdentity(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randDoc(r, 25), randDoc(r, 25)
-		if TreeDistance(a, b, UnitCosts()) != TreeDistance(b, a, UnitCosts()) {
+		if TreeDistance(a, b) != TreeDistance(b, a) {
 			return false
 		}
-		return TreeDistance(a, a, UnitCosts()) == 0 && TreeDistance(b, b, UnitCosts()) == 0
+		return TreeDistance(a, a) == 0 && TreeDistance(b, b) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -118,13 +67,13 @@ func TestPropertySymmetryAndIdentity(t *testing.T) {
 
 func TestTreeDistanceNilRoots(t *testing.T) {
 	a := el("root", el("a"), el("b"))
-	if d := TreeDistance(nil, nil, UnitCosts()); d != 0 {
+	if d := TreeDistance(nil, nil); d != 0 {
 		t.Fatalf("d(nil, nil) = %v, want 0", d)
 	}
-	if d := TreeDistance(nil, a, UnitCosts()); d != 3 {
+	if d := TreeDistance(nil, a); d != 3 {
 		t.Fatalf("d(nil, tree) = %v, want 3 inserts", d)
 	}
-	if d := TreeDistance(a, nil, UnitCosts()); d != 3 {
+	if d := TreeDistance(a, nil); d != 3 {
 		t.Fatalf("d(tree, nil) = %v, want 3 deletes", d)
 	}
 }
@@ -134,74 +83,58 @@ func TestTreeDistanceNilRoots(t *testing.T) {
 // (same size, different labels) are not.
 func TestTreeDistanceMemoHitCounter(t *testing.T) {
 	a := el("root", el("a", el("b")), el("c"))
-	before, _ := MemoStats()
-	if d := TreeDistance(a, a.Clone(), UnitCosts()); d != 0 {
+	before := treeMemoHits.Load()
+	if d := TreeDistance(a, a.Clone()); d != 0 {
 		t.Fatalf("identical distance = %v", d)
 	}
-	after, _ := MemoStats()
+	after := treeMemoHits.Load()
 	if after != before+1 {
 		t.Fatalf("tree memo hits %d -> %d, want +1", before, after)
 	}
 	b := el("root", el("a", el("b")), el("d")) // one label differs
 	before = after
-	if d := TreeDistance(a, b, UnitCosts()); d != 1 {
+	if d := TreeDistance(a, b); d != 1 {
 		t.Fatalf("near-miss distance = %v, want 1", d)
 	}
-	after, _ = MemoStats()
+	after = treeMemoHits.Load()
 	if after != before {
 		t.Fatalf("near-miss must not count as a memo hit (%d -> %d)", before, after)
 	}
 }
 
-// TestTreeDistanceMemoWithMutatedCosts: the short-circuit must survive
-// replacing Insert/Delete (it only depends on the rename-equal-is-zero
-// property), and the result must still match the naive reference.
-func TestTreeDistanceMemoWithMutatedCosts(t *testing.T) {
-	costs := UnitCosts()
-	costs.Insert = func(*dom.Node) float64 { return 7 }
-	a := el("root", el("a"), el("b", el("c")))
-	if d := TreeDistance(a, a.Clone(), costs); d != 0 {
-		t.Fatalf("identical distance under mutated insert cost = %v", d)
-	}
-	b := el("root", el("a"), el("b", el("c"), el("d")))
-	if got, want := TreeDistance(a, b, costs), treeDistanceNaive(a, b, costs); got != want {
-		t.Fatalf("mutated-cost distance = %v, naive = %v", got, want)
-	}
-	if got := TreeDistance(a, b, costs); got != 7 {
-		t.Fatalf("one insert at cost 7 = %v", got)
-	}
+// rootHash returns the structure hash ordered.build memoizes for n's whole
+// tree — the hash behind TreeDistance's identical-tree short-circuit.
+func rootHash(n *dom.Node) uint64 {
+	sc := &zsScratch{labels: make(map[labelKey]int32)}
+	sc.a.build(n, sc)
+	return sc.a.hash[len(sc.a.hash)-1]
 }
 
 func TestSubtreeHash(t *testing.T) {
 	a := el("root", el("a", el("b")), el("c"))
-	if SubtreeHash(a) != SubtreeHash(a.Clone()) {
+	if rootHash(a) != rootHash(a.Clone()) {
 		t.Fatal("identical trees must hash equal")
 	}
 	b := el("root", el("a", el("b")), el("d"))
-	if SubtreeHash(a) == SubtreeHash(b) {
+	if rootHash(a) == rootHash(b) {
 		t.Fatal("differing trees should hash differently")
 	}
 	// Text content participates; comments do not.
 	x1, x2 := el("x"), el("x")
 	x1.AppendChild(dom.NewText("hello"))
 	x2.AppendChild(dom.NewText("world"))
-	if SubtreeHash(x1) == SubtreeHash(x2) {
+	if rootHash(x1) == rootHash(x2) {
 		t.Fatal("text content must affect the hash")
 	}
 	x3 := el("x")
 	x3.AppendChild(dom.NewText("hello"))
 	x3.AppendChild(&dom.Node{Type: dom.CommentNode, Text: "ignored"})
-	if SubtreeHash(x1) != SubtreeHash(x3) {
+	if rootHash(x1) != rootHash(x3) {
 		t.Fatal("comments must not affect the hash")
 	}
-	if SubtreeHash(nil) != SubtreeHash(nil) {
-		t.Fatal("nil hash must be stable")
-	}
 	// A text node and an element with the same spelling must differ: the
-	// kind marker keeps "#text:a" from colliding with <a>.
-	ta := dom.NewText("a")
-	ea := el("a")
-	if SubtreeHash(ta) == SubtreeHash(ea) {
+	// kind marker keeps text "a" from colliding with <a>.
+	if rootHash(dom.NewText("a")) == rootHash(el("a")) {
 		t.Fatal("text and element with same spelling must hash differently")
 	}
 }

@@ -67,205 +67,19 @@ func (s Script) String() string {
 func (s Script) Stats() EditStats {
 	var st EditStats
 	for _, op := range s {
-		switch op.Kind {
-		case OpRename:
-			st.Renamed++
-		case OpInsert:
-			st.Inserted++
-		case OpDelete:
-			st.Deleted++
-		case OpMerge:
-			st.Merged++
-		case OpReorder:
-			st.Reordered++
-		case OpUnwrap:
-			st.Unwrapped++
+		if c := st.count(op.Kind); c != nil {
+			*c++
 		}
 	}
 	return st
 }
 
 // ConformScript is Conform with full operation recording: it returns the
-// conformed copy and the edit script that produced it. Conform remains the
-// cheaper entry point when only counts are needed.
+// conformed copy and the edit script that produced it, recorded by the
+// same walker Conform runs. Conform remains the cheaper entry point when
+// only counts are needed.
 func ConformScript(doc *dom.Node, d *dtd.DTD) (*dom.Node, Script) {
-	cd, _ := compiledIndex(d)
 	var script Script
-	out := doc.Clone()
-	if out.Type != dom.ElementNode {
-		if el := out.Find(func(n *dom.Node) bool { return n.Type == dom.ElementNode }); el != nil {
-			el.Detach()
-			out = el
-		} else {
-			out = dom.NewElement(d.RootName)
-			script = append(script, Op{Kind: OpInsert, Path: "/", Detail: "empty input; created root " + d.RootName})
-		}
-	}
-	if out.Tag != d.RootName && d.RootName != "" {
-		script = append(script, Op{Kind: OpRename, Path: "/" + out.Tag,
-			Detail: fmt.Sprintf("root %s -> %s", out.Tag, d.RootName)})
-		out.Tag = d.RootName
-	}
-	conformNodeScript(out, "/"+out.Tag, cd, &script)
+	out, _ := conform(doc, d, &edits{script: &script})
 	return out, script
-}
-
-// conformNodeScript mirrors conformNode with operation recording. The two
-// are kept in lockstep by the equivalence test in script_test.go. Both read
-// the shared compiled conformance tables (see compile.go) instead of
-// rebuilding per-node membership and position maps.
-func conformNodeScript(n *dom.Node, path string, cd *compiledDTD, script *Script) {
-	ce := cd.elems[n.Tag]
-	if ce == nil {
-		return
-	}
-	model := ce.decl.Children
-
-	for changed := true; changed; {
-		changed = false
-		for _, c := range n.Children {
-			if c.Type != dom.ElementNode || ce.inModel[c.Tag] {
-				continue
-			}
-			if len(c.Children) == 0 {
-				n.AppendVal(c.Val())
-				n.AppendVal(c.Text)
-				c.Detach()
-				*script = append(*script, Op{Kind: OpDelete, Path: path,
-					Detail: fmt.Sprintf("undeclared <%s> removed, val folded", c.Tag)})
-			} else {
-				n.AppendVal(c.Val())
-				tag := c.Tag
-				c.SpliceUp()
-				*script = append(*script, Op{Kind: OpUnwrap, Path: path,
-					Detail: fmt.Sprintf("undeclared container <%s> spliced up", tag)})
-			}
-			changed = true
-			break
-		}
-	}
-
-	buckets := make([][]*dom.Node, len(model))
-	kids := make([]*dom.Node, len(n.Children))
-	copy(kids, n.Children)
-	orderChanged := false
-	prevPos := -1
-	for _, c := range kids {
-		if c.Type != dom.ElementNode {
-			if c.Type == dom.TextNode {
-				n.AppendVal(c.Text)
-			}
-			c.Detach()
-			continue
-		}
-		p := ce.pos[c.Tag]
-		if p < prevPos {
-			orderChanged = true
-		}
-		prevPos = p
-		c.Detach()
-		buckets[p] = append(buckets[p], c)
-	}
-	if orderChanged {
-		*script = append(*script, Op{Kind: OpReorder, Path: path,
-			Detail: "children reordered to content-model order"})
-	}
-
-	for i, spec := range model {
-		b := buckets[i]
-		if spec.Group != nil {
-			for _, c := range assembleGroup(spec, b, path, script) {
-				n.AppendChild(c)
-			}
-			continue
-		}
-		switch spec.Repeat {
-		case dtd.One, dtd.Opt:
-			if len(b) > 1 {
-				head := b[0]
-				for _, extra := range b[1:] {
-					head.AppendVal(extra.Val())
-					head.AdoptChildren(extra)
-					*script = append(*script, Op{Kind: OpMerge, Path: path,
-						Detail: fmt.Sprintf("surplus <%s> merged into first occurrence", spec.Name)})
-				}
-				b = b[:1]
-			}
-			if len(b) == 0 && spec.Repeat == dtd.One {
-				b = append(b, dom.NewElement(spec.Name))
-				*script = append(*script, Op{Kind: OpInsert, Path: path,
-					Detail: fmt.Sprintf("required <%s> inserted", spec.Name)})
-			}
-		case dtd.Plus:
-			if len(b) == 0 {
-				b = append(b, dom.NewElement(spec.Name))
-				*script = append(*script, Op{Kind: OpInsert, Path: path,
-					Detail: fmt.Sprintf("required <%s> inserted", spec.Name)})
-			}
-		}
-		for _, c := range b {
-			n.AppendChild(c)
-		}
-	}
-
-	for _, c := range n.Children {
-		conformNodeScript(c, path+"/"+c.Tag, cd, script)
-	}
-}
-
-// assembleGroup arranges the bucketed children of a group particle into
-// complete tuples, inserting placeholders for missing members (and, for
-// One/Opt groups, merging surplus occurrences of each member). The result
-// always satisfies the group's occurrence indicator.
-func assembleGroup(spec dtd.Child, b []*dom.Node, path string, script *Script) []*dom.Node {
-	byName := make(map[string][]*dom.Node, len(spec.Group))
-	for _, c := range b {
-		byName[c.Tag] = append(byName[c.Tag], c)
-	}
-	k := 0
-	for _, m := range spec.Group {
-		if l := len(byName[m.Name]); l > k {
-			k = l
-		}
-	}
-	switch spec.Repeat {
-	case dtd.One, dtd.Opt:
-		if k > 1 {
-			for _, m := range spec.Group {
-				occ := byName[m.Name]
-				if len(occ) > 1 {
-					head := occ[0]
-					for _, extra := range occ[1:] {
-						head.AppendVal(extra.Val())
-						head.AdoptChildren(extra)
-						*script = append(*script, Op{Kind: OpMerge, Path: path,
-							Detail: fmt.Sprintf("surplus <%s> merged into first group tuple", m.Name)})
-					}
-					byName[m.Name] = occ[:1]
-				}
-			}
-			k = 1
-		}
-		if k == 0 && spec.Repeat == dtd.One {
-			k = 1
-		}
-	case dtd.Plus:
-		if k == 0 {
-			k = 1
-		}
-	}
-	var out []*dom.Node
-	for t := 0; t < k; t++ {
-		for _, m := range spec.Group {
-			occ := byName[m.Name]
-			if t < len(occ) {
-				out = append(out, occ[t])
-				continue
-			}
-			out = append(out, dom.NewElement(m.Name))
-			*script = append(*script, Op{Kind: OpInsert, Path: path,
-				Detail: fmt.Sprintf("group member <%s> inserted to complete tuple %d", m.Name, t+1)})
-		}
-	}
-	return out
 }

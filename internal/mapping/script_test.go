@@ -36,6 +36,80 @@ func TestConformScriptRecordsOperations(t *testing.T) {
 	}
 }
 
+// TestConformScriptPinned pins ConformScript's exact output — every op's
+// kind, path and detail, in order, and the conformed tree — on a document
+// needing every operation kind: root rename, delete, unwrap, reorder at
+// two levels, plain merge and insert, group merge and insert; and on
+// empty input, which creates the root.
+func TestConformScriptPinned(t *testing.T) {
+	d, err := dtdParse(`<!ELEMENT resume ((#PCDATA), contact, (name, phone), education+)>
+<!ELEMENT contact (#PCDATA)>
+<!ELEMENT name (#PCDATA)>
+<!ELEMENT phone (#PCDATA)>
+<!ELEMENT education ((#PCDATA), degree, date)>
+<!ELEMENT degree (#PCDATA)>
+<!ELEMENT date (#PCDATA)>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := func(n *dom.Node, v string) *dom.Node { n.SetVal(v); return n }
+	doc := el("cv",
+		el("education", val(el("date"), "1998"), val(el("degree"), "M.S.")),
+		val(el("name"), "Jane"),
+		val(el("contact"), "a@x"),
+		val(el("hobby"), "sailing"),
+		el("section", val(el("contact"), "b@y")),
+		val(el("name"), "Doe"),
+		el("education", val(el("date"), "2001")),
+		dom.NewText(" open to relocation "),
+	)
+	cases := []struct {
+		doc  *dom.Node
+		tree string
+		want Script
+	}{
+		{doc,
+			`(resume val="sailing open to relocation" (contact val="a@x b@y") (name val="Jane Doe") (phone)` +
+				` (education (degree val="M.S.") (date val="1998")) (education (degree) (date val="2001")))`,
+			Script{
+				{OpRename, "/cv", "root cv -> resume"},
+				{OpDelete, "/resume", "undeclared <hobby> removed, val folded"},
+				{OpUnwrap, "/resume", "undeclared container <section> spliced up"},
+				{OpReorder, "/resume", "children reordered to content-model order"},
+				{OpMerge, "/resume", "surplus <contact> merged into first occurrence"},
+				{OpMerge, "/resume", "surplus <name> merged into first group tuple"},
+				{OpInsert, "/resume", "group member <phone> inserted to complete tuple 1"},
+				{OpReorder, "/resume/education", "children reordered to content-model order"},
+				{OpInsert, "/resume/education", "required <degree> inserted"},
+			}},
+		{dom.NewDocument(),
+			`(resume (contact) (name) (phone) (education (degree) (date)))`,
+			Script{
+				{OpInsert, "/", "empty input; created root resume"},
+				{OpInsert, "/resume", "required <contact> inserted"},
+				{OpInsert, "/resume", "group member <name> inserted to complete tuple 1"},
+				{OpInsert, "/resume", "group member <phone> inserted to complete tuple 1"},
+				{OpInsert, "/resume", "required <education> inserted"},
+				{OpInsert, "/resume/education", "required <degree> inserted"},
+				{OpInsert, "/resume/education", "required <date> inserted"},
+			}},
+	}
+	for i, tc := range cases {
+		out, script := ConformScript(tc.doc, d)
+		if got := out.String(); got != tc.tree {
+			t.Errorf("case %d: tree\n got %s\nwant %s", i, got, tc.tree)
+		}
+		if len(script) != len(tc.want) {
+			t.Fatalf("case %d: %d ops, want %d:\n%s", i, len(script), len(tc.want), script)
+		}
+		for j, op := range script {
+			if op != tc.want[j] {
+				t.Errorf("case %d op %d: got %v, want %v", i, j, op, tc.want[j])
+			}
+		}
+	}
+}
+
 func TestOpKindString(t *testing.T) {
 	kinds := []OpKind{OpRename, OpInsert, OpDelete, OpMerge, OpReorder, OpUnwrap}
 	names := []string{"rename", "insert", "delete", "merge", "reorder", "unwrap"}
@@ -51,7 +125,8 @@ func TestOpKindString(t *testing.T) {
 
 func TestScriptStatsMatchesConform(t *testing.T) {
 	// ConformScript must produce the same tree and equivalent stats as
-	// Conform on arbitrary inputs — they are maintained in lockstep.
+	// Conform on arbitrary inputs: recording the script must not change
+	// the transformation.
 	d := resumeDTD(t)
 	tags := []string{"resume", "contact", "education", "degree", "date", "junk", "wrap"}
 	f := func(seed int64, size uint8) bool {

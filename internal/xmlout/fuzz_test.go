@@ -15,9 +15,9 @@ import (
 	"webrev/internal/dom"
 )
 
-// leakShapes are the stored forms of three converter leaks (ROADMAP item
-// 11): an HTML attribute named "!" kept on a concept element, a control
-// byte and a non-character reaching a val. None is an XML document, so the
+// leakShapes are the stored forms of three converter leaks, since closed:
+// an HTML attribute named "!" kept on a concept element, a control byte
+// and a non-character reaching a val. None is an XML document, so the
 // decoder must reject each, as encoding/xml does.
 var leakShapes = []string{
 	xmlHeader + "<resume>\n  <education !=\"\"/>\n</resume>\n",
