@@ -58,8 +58,8 @@ race:
 # per-shard path accumulators to the serial fold, on arbitrary inputs;
 # the store decoder must accept exactly what Marshal writes (an accepted
 # input re-marshals to itself and encoding/xml accepts it; a built tree
-# round-trips); fold/subtract interleavings
-# over the delta accumulator must exactly invert; opening a repository
+# round-trips); fold/subtract interleavings over any accumulator must
+# exactly invert, as every accumulator is of one kind; opening a repository
 # directory from arbitrary index.log and segment.blob bytes must never
 # panic, and reading it must never write; opening a build shard's
 # checkpoint or a watch state directory from an arbitrary state.json must

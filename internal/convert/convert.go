@@ -22,7 +22,6 @@
 package convert
 
 import (
-	"slices"
 	"strings"
 	"sync"
 	"unicode/utf8"
@@ -260,19 +259,17 @@ func (c *Converter) ConvertTree(body *dom.Node) (*dom.Node, Stats) {
 }
 
 // seal makes the converted tree one the store can hold and read back, and
-// counts its concept elements. Every element keeps only its val: an HTML
-// element named like a concept arrives with its HTML attributes, whose
-// names need not be XML names. Vals and texts are mapped to characters XML
-// can carry (xmlChars): the tokenization rule splits text at control
-// bytes, but an HTML val attribute, and U+FFFE and U+FFFF in text, get
-// this far.
+// counts its concept elements. Its elements carry no attribute but the
+// val conversion gave them (applyTextRules drops the HTML ones). Vals and
+// texts are mapped to characters XML can carry (xmlChars): the
+// tokenization rule splits text at control bytes, but U+FFFE and U+FFFF
+// in text get this far.
 func (c *Converter) seal(n *dom.Node) int {
 	count := 0
 	if n.Type == dom.ElementNode {
 		if c.set.Has(n.Tag) {
 			count++
 		}
-		n.Attrs = slices.DeleteFunc(n.Attrs, func(a dom.Attr) bool { return a.Name != dom.ValAttr })
 		for i := range n.Attrs {
 			n.Attrs[i].Value = xmlChars(n.Attrs[i].Value)
 		}
@@ -343,7 +340,13 @@ func (c *Converter) appendTokens(dst []string, text string) []string {
 // allocates only for the concept elements it creates.
 func (c *Converter) applyTextRules(root *dom.Node, stats *Stats) {
 	sc := scratchPool.Get().(*scratch)
-	texts := root.FindAllAppend(sc.texts[:0], func(n *dom.Node) bool { return n.Type == dom.TextNode })
+	// The walk that collects the text nodes also drops every HTML
+	// attribute. The converter reads none, and an HTML val attribute must
+	// not seed the val a converted element accumulates from text.
+	texts := root.FindAllAppend(sc.texts[:0], func(n *dom.Node) bool {
+		n.Attrs = nil
+		return n.Type == dom.TextNode
+	})
 	toks := sc.toks
 	for _, tn := range texts {
 		parent := tn.Parent

@@ -28,6 +28,9 @@ func fuzzSeeds() []string {
 		`<h1>John Roe</h1><EduCAtion! x="1">Stanford University, M.S., 1998</EduCAtion!>`,
 		"<p val=\"a\x01b\">Stanford University</p>",
 		"<p>x\uFFFEy\uFFFFz</p>",
+		// HTML val attributes that once landed in converted vals.
+		`<education val="c">MIT</education>`,
+		`<h1>John Smith</h1><p val="x">Stanford University</p><ul><li val="y">1998</li></ul>`,
 	}
 	for _, r := range g.Corpus(3) {
 		seeds = append(seeds, r.HTML)
@@ -82,13 +85,13 @@ func FuzzConvert(f *testing.F) {
 
 // TestConvertStoresOnlyXML: the shapes that once made a converted page
 // undecodable now store as XML the decoder reads back. An HTML element
-// named like a concept keeps only its val; a control byte in an HTML val
-// attribute and U+FFFE and U+FFFF in text become U+FFFD.
+// named like a concept keeps only its val; an HTML val attribute, control
+// byte included, is dropped; U+FFFE and U+FFFF in text become U+FFFD.
 func TestConvertStoresOnlyXML(t *testing.T) {
 	c := convert.New(concept.ResumeSet(), convert.Options{RootName: "resume"})
 	for _, tc := range []struct{ src, want string }{
 		{`<h1>John Roe</h1><EduCAtion! x="1">Stanford University, M.S., 1998</EduCAtion!>`, `<education val="1998">`},
-		{"<p val=\"a\x01b\">Stanford University</p>", "<resume val=\"a\uFFFDb\">"},
+		{"<p val=\"a\x01b\">Stanford University</p>", "<resume>\n  <institution val=\"Stanford University\"/>"},
 		{"<p>x\uFFFEy\uFFFFz</p>", "<resume val=\"x\uFFFDy\uFFFDz\"/>"},
 	} {
 		root, _ := c.Convert(tc.src)
@@ -98,6 +101,24 @@ func TestConvertStoresOnlyXML(t *testing.T) {
 		}
 		if _, err := xmlout.UnmarshalElement(stored); err != nil {
 			t.Errorf("%q: stored form does not decode: %v", tc.src, err)
+		}
+	}
+}
+
+// TestConvertIgnoresHTMLVal: a val attribute in the page's markup is not
+// text, so no converted val may hold it. Each page converts to the same
+// XML as the page without its val attributes.
+func TestConvertIgnoresHTMLVal(t *testing.T) {
+	c := convert.New(concept.ResumeSet(), convert.Options{RootName: "resume"})
+	for _, tc := range []struct{ src, plain string }{
+		{`<education val="c">MIT</education>`, `<education>MIT</education>`},
+		{`<h1>John Smith</h1><p val="x">Stanford University</p><ul><li val="y">1998</li></ul>`,
+			`<h1>John Smith</h1><p>Stanford University</p><ul><li>1998</li></ul>`},
+	} {
+		got, _ := c.Convert(tc.src)
+		want, _ := c.Convert(tc.plain)
+		if g, w := xmlout.Marshal(got), xmlout.Marshal(want); g != w {
+			t.Errorf("%q converts to\n%s\nwant, as without its val attributes,\n%s", tc.src, g, w)
 		}
 	}
 }

@@ -18,7 +18,7 @@ func convertOne(t *testing.T, p *Pipeline, s Source) *Document {
 	return d
 }
 
-// TestBuildFromStatsMatchesBuild: mining a delta accumulator that folded
+// TestBuildFromStatsMatchesBuild: mining an accumulator that folded
 // every document in corpus order, then mapping through BuildFromStats, is
 // byte-identical to the cold batch build of the same sources.
 func TestBuildFromStatsMatchesBuild(t *testing.T) {
@@ -29,7 +29,7 @@ func TestBuildFromStatsMatchesBuild(t *testing.T) {
 	}
 
 	p := resumePipeline(t)
-	acc := schema.NewDeltaAccumulator(0)
+	acc := schema.NewAccumulator(0)
 	docs := make([]*Document, len(sources))
 	for i, s := range sources {
 		docs[i] = convertOne(t, p, s)
@@ -56,7 +56,7 @@ func TestBuildFromStatsIncremental(t *testing.T) {
 	repl := streamSources(3, 99)
 
 	p := resumePipeline(t)
-	acc := schema.NewDeltaAccumulator(0)
+	acc := schema.NewAccumulator(0)
 	docs := make([]*Document, len(base))
 	ids := make([]int, len(base))
 	for i, s := range base {
@@ -110,12 +110,12 @@ func TestBuildFromStatsIncremental(t *testing.T) {
 // and an accumulator whose fold count disagrees with the document slice.
 func TestBuildFromStatsValidation(t *testing.T) {
 	p := resumePipeline(t)
-	if _, err := p.BuildFromStats(context.Background(), nil, schema.NewDeltaAccumulator(0)); err == nil {
+	if _, err := p.BuildFromStats(context.Background(), nil, schema.NewAccumulator(0)); err == nil {
 		t.Fatal("empty corpus accepted")
 	}
 	s := streamSources(2, 5)
 	d := convertOne(t, p, s[0])
-	acc := schema.NewDeltaAccumulator(0)
+	acc := schema.NewAccumulator(0)
 	acc.Add(0, p.ExtractPaths(d))
 	if _, err := p.BuildFromStats(context.Background(), []*Document{d, convertOne(t, p, s[1])}, acc); err == nil {
 		t.Fatal("fold-count mismatch accepted")

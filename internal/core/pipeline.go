@@ -371,7 +371,7 @@ func (p *Pipeline) unify(s *schema.Schema) *schema.Schema {
 // MineStats mines accumulated corpus statistics into the majority schema,
 // applying the configured unification step — the mining entry point of
 // every build (the merged shard accumulators) and of the watch loop's
-// persistent delta accumulator. Folding every document into one
+// persistent accumulator. Folding every document into one
 // accumulator in corpus-index order and mining it here is exactly
 // DiscoverSchema over the same documents.
 func (p *Pipeline) MineStats(acc *schema.Accumulator) *schema.Schema {

@@ -40,14 +40,11 @@ func (r Repeat) Suffix() string {
 	return ""
 }
 
-// Child is one particle of an element's content model: either a named
-// element (Name set, Group nil) or a parenthesized sequence group such as
-// (institution, degree)+ (Group set, Name empty) — the §3.3 repetitive
-// group extension. Group members are always simple named particles.
+// Child is one particle of an element's content model: a named child
+// element with its occurrence indicator.
 type Child struct {
 	Name   string
 	Repeat Repeat
-	Group  []Child
 }
 
 // Element declares one element type and its content model. Every element
@@ -96,9 +93,6 @@ type Options struct {
 	// elements"). Zero keeps the paper's default: no optional elements,
 	// because every path in TF is frequent.
 	OptionalBelow float64
-	// DetectGroups enables discovery of repetitive group patterns such as
-	// (e1, e2)+ from observed child sequences (§3.3's closing extension).
-	DetectGroups bool
 }
 
 // FromSchema derives a DTD from a majority schema. Content models for an
@@ -179,9 +173,6 @@ func FromSchema(s *schema.Schema, opts Options) *DTD {
 		d.Elements = append(d.Elements, el)
 		d.index[name] = el
 	}
-	if opts.DetectGroups {
-		applyGroupPatterns(d, root)
-	}
 	d.demoteRequirementCycles()
 	return d
 }
@@ -205,28 +196,6 @@ func (d *DTD) demoteRequirementCycles() {
 			c := &el.Children[i]
 			if c.Repeat == Opt || c.Repeat == Star {
 				continue // optional edges cannot force infinite growth
-			}
-			if c.Group != nil {
-				// A required group forces all of its members.
-				cycle := false
-				for _, m := range c.Group {
-					if onPath[m.Name] {
-						cycle = true
-						break
-					}
-				}
-				if cycle {
-					if c.Repeat == Plus {
-						c.Repeat = Star
-					} else {
-						c.Repeat = Opt
-					}
-					continue
-				}
-				for _, m := range c.Group {
-					visit(m.Name)
-				}
-				continue
 			}
 			if onPath[c.Name] {
 				if c.Repeat == Plus {
@@ -288,7 +257,8 @@ func (d *DTD) Render() string {
 			b.WriteString("((#PCDATA)")
 			for _, c := range e.Children {
 				b.WriteString(", ")
-				writeParticle(&b, c)
+				b.WriteString(c.Name)
+				b.WriteString(c.Repeat.Suffix())
 			}
 			b.WriteString(")>")
 		}
@@ -296,24 +266,6 @@ func (d *DTD) Render() string {
 		fmt.Fprintf(&b, "<!ATTLIST %-*s val CDATA #IMPLIED>\n", width, e.Name)
 	}
 	return b.String()
-}
-
-func writeParticle(b *strings.Builder, c Child) {
-	if c.Group == nil {
-		b.WriteString(c.Name)
-		b.WriteString(c.Repeat.Suffix())
-		return
-	}
-	b.WriteByte('(')
-	for i, m := range c.Group {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(m.Name)
-		b.WriteString(m.Repeat.Suffix())
-	}
-	b.WriteByte(')')
-	b.WriteString(c.Repeat.Suffix())
 }
 
 // RenderElements renders only the <!ELEMENT> lines (the form shown in the
@@ -383,37 +335,28 @@ func (d *DTD) validateNode(n *dom.Node, path string, errs *[]*ValidationError) {
 }
 
 // matchSequence checks the ordered child elements against the content model
-// (a sequence of named or group particles with occurrence indicators). It
-// returns a description of the first mismatch, or "".
+// (a sequence of named particles with occurrence indicators). It returns a
+// description of the first mismatch, or "".
 func matchSequence(model []Child, kids []*dom.Node) string {
 	i := 0
 	for _, spec := range model {
-		var count int
-		if spec.Group != nil {
-			count, i = matchGroupRuns(spec.Group, kids, i)
-		} else {
-			count = 0
-			for i < len(kids) && kids[i].Tag == spec.Name {
-				count++
-				i++
-			}
-		}
-		name := spec.Name
-		if spec.Group != nil {
-			name = groupName(spec.Group)
+		count := 0
+		for i < len(kids) && kids[i].Tag == spec.Name {
+			count++
+			i++
 		}
 		switch spec.Repeat {
 		case One:
 			if count != 1 {
-				return fmt.Sprintf("child %s occurs %d times, model requires exactly 1", name, count)
+				return fmt.Sprintf("child %s occurs %d times, model requires exactly 1", spec.Name, count)
 			}
 		case Plus:
 			if count < 1 {
-				return fmt.Sprintf("child %s missing, model requires at least 1", name)
+				return fmt.Sprintf("child %s missing, model requires at least 1", spec.Name)
 			}
 		case Opt:
 			if count > 1 {
-				return fmt.Sprintf("child %s occurs %d times, model allows at most 1", name, count)
+				return fmt.Sprintf("child %s occurs %d times, model allows at most 1", spec.Name, count)
 			}
 		}
 	}
@@ -421,35 +364,4 @@ func matchSequence(model []Child, kids []*dom.Node) string {
 		return fmt.Sprintf("unexpected child %s at position %d", kids[i].Tag, i)
 	}
 	return ""
-}
-
-// matchGroupRuns counts how many complete copies of the group's member
-// sequence occur at kids[i:], returning the count and new position.
-func matchGroupRuns(group []Child, kids []*dom.Node, i int) (int, int) {
-	count := 0
-	for {
-		j := i
-		ok := true
-		for _, m := range group {
-			if j < len(kids) && kids[j].Tag == m.Name {
-				j++
-				continue
-			}
-			ok = false
-			break
-		}
-		if !ok {
-			return count, i
-		}
-		i = j
-		count++
-	}
-}
-
-func groupName(group []Child) string {
-	var names []string
-	for _, m := range group {
-		names = append(names, m.Name)
-	}
-	return "(" + strings.Join(names, ", ") + ")"
 }

@@ -261,3 +261,23 @@ func BenchmarkValidate(b *testing.B) {
 		d.Validate(doc)
 	}
 }
+
+// TestCycleDemotion demotes the required edge that closes a cycle of
+// required children (a needs b+, b needs a) to optional, so the DTD stays
+// finitely satisfiable; the edge into the cycle stays required.
+func TestCycleDemotion(t *testing.T) {
+	d, err := Parse("<!ELEMENT a ((#PCDATA), b+)>\n<!ELEMENT b ((#PCDATA), a)>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.demoteRequirementCycles()
+	if got := d.Element("a").Children[0].Repeat; got != Plus {
+		t.Fatalf("a's b+ became %q, want +", got.Suffix())
+	}
+	if got := d.Element("b").Children[0].Repeat; got != Opt {
+		t.Fatalf("b's cycle-closing a became %q, want ?", got.Suffix())
+	}
+	if !d.Conforms(el("a", el("b"))) {
+		t.Fatalf("finite document rejected: %v", d.Validate(el("a", el("b"))))
+	}
+}

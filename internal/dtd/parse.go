@@ -9,7 +9,9 @@ import (
 // (#PCDATA) leaves or ((#PCDATA), child-sequence) content models, plus
 // optional <!ATTLIST> lines (which are validated for shape and otherwise
 // ignored) — and reconstructs the DTD. The first element declared is the
-// root.
+// root. A particle is a child name with an optional occurrence indicator;
+// a parenthesized group such as (a, b)+ is an error naming the content
+// model that holds it.
 func Parse(text string) (*DTD, error) {
 	d := &DTD{index: make(map[string]*Element)}
 	for ln, raw := range strings.Split(text, "\n") {
@@ -42,17 +44,8 @@ func Parse(text string) (*DTD, error) {
 	// Every referenced child must be declared.
 	for _, el := range d.Elements {
 		for _, c := range el.Children {
-			names := []string{c.Name}
-			if c.Group != nil {
-				names = names[:0]
-				for _, m := range c.Group {
-					names = append(names, m.Name)
-				}
-			}
-			for _, name := range names {
-				if d.index[name] == nil {
-					return nil, fmt.Errorf("dtd: element %q references undeclared %q", el.Name, name)
-				}
+			if d.index[c.Name] == nil {
+				return nil, fmt.Errorf("dtd: element %q references undeclared %q", el.Name, c.Name)
 			}
 		}
 	}
@@ -79,7 +72,10 @@ func parseElementDecl(line string) (*Element, error) {
 	case strings.HasPrefix(model, "((#PCDATA)") && strings.HasSuffix(model, ")"):
 		rest := strings.TrimPrefix(model, "((#PCDATA)")
 		rest = strings.TrimSuffix(rest, ")")
-		for _, part := range splitTopLevel(rest) {
+		if strings.ContainsAny(rest, "()") {
+			return nil, fmt.Errorf("unsupported parenthesized group in content model %q: a particle is a child name with an optional ?, + or *", model)
+		}
+		for _, part := range strings.Split(rest, ",") {
 			part = strings.TrimSpace(part)
 			if part == "" {
 				continue
@@ -96,30 +92,8 @@ func parseElementDecl(line string) (*Element, error) {
 	}
 }
 
-// splitTopLevel splits a comma-separated list, ignoring commas inside
-// parentheses.
-func splitTopLevel(s string) []string {
-	var out []string
-	depth, start := 0, 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case ',':
-			if depth == 0 {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	out = append(out, s[start:])
-	return out
-}
-
-// parseParticle parses one content-model particle: name, name+, name?,
-// name*, or a group (a, b)+ etc.
+// parseParticle parses one content-model particle: name, name+, name? or
+// name*.
 func parseParticle(part string) (Child, error) {
 	var child Child
 	switch part[len(part)-1] {
@@ -133,30 +107,9 @@ func parseParticle(part string) (Child, error) {
 		child.Repeat = Star
 		part = part[:len(part)-1]
 	}
-	part = strings.TrimSpace(part)
-	if part == "" {
+	child.Name = strings.TrimSpace(part)
+	if child.Name == "" {
 		return child, fmt.Errorf("empty child name")
 	}
-	if strings.HasPrefix(part, "(") {
-		if !strings.HasSuffix(part, ")") {
-			return child, fmt.Errorf("unterminated group %q", part)
-		}
-		inner := part[1 : len(part)-1]
-		for _, m := range strings.Split(inner, ",") {
-			m = strings.TrimSpace(m)
-			if m == "" || strings.ContainsAny(m, "()+?*") {
-				return child, fmt.Errorf("unsupported group member %q", m)
-			}
-			child.Group = append(child.Group, Child{Name: m})
-		}
-		if len(child.Group) == 0 {
-			return child, fmt.Errorf("empty group")
-		}
-		return child, nil
-	}
-	if strings.ContainsAny(part, "()") {
-		return child, fmt.Errorf("malformed particle %q", part)
-	}
-	child.Name = part
 	return child, nil
 }

@@ -137,3 +137,27 @@ func TestParsePreservesValidationBehaviour(t *testing.T) {
 		t.Fatalf("repetition lost:\n%s", parsed.Render())
 	}
 }
+
+// TestParseGroupErrors rejects every parenthesized group particle, with an
+// error naming it: a content model holds named children only, as Render
+// writes it.
+func TestParseGroupErrors(t *testing.T) {
+	decls := "\n<!ELEMENT a (#PCDATA)>\n<!ELEMENT b (#PCDATA)>"
+	cases := []struct{ src, group string }{
+		{"<!ELEMENT r ((#PCDATA), (a, b)+)>" + decls, "(a, b)+"},
+		{"<!ELEMENT r ((#PCDATA), a, (a, b))>" + decls, "(a, b)"},
+		{"<!ELEMENT r ((#PCDATA), (a, (b))*)>" + decls, "(a, (b))*"},
+		{"<!ELEMENT r ((#PCDATA), ()+)>", "()+"},
+		{"<!ELEMENT r ((#PCDATA), a(b)?)>" + decls, "a(b)?"},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		if err == nil {
+			t.Errorf("Parse(%q) should fail", c.src)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.group) {
+			t.Errorf("Parse(%q) error %q does not name %s", c.src, err, c.group)
+		}
+	}
+}

@@ -17,7 +17,9 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"syscall"
 	"time"
 
 	"webrev/internal/baseline"
@@ -162,9 +164,9 @@ func (r ConstraintsResult) Report() string {
 // the three input-size measures the paper plots.
 type ScalePoint struct {
 	Docs         int
-	Nodes        int // XML nodes across the corpus
-	ConceptNodes int // concept (keyword) nodes across the corpus
-	Millis       float64
+	Nodes        int     // XML nodes across the corpus
+	ConceptNodes int     // concept (keyword) nodes across the corpus
+	Millis       float64 // process CPU time of the run, user plus system
 }
 
 // ScalabilityResult is the Figure 5 series.
@@ -181,11 +183,22 @@ type ScalabilityResult struct {
 // carries enough scheduler and GC noise to break the linear fit.
 const scaleRepeats = 5
 
+// cpuTime returns the CPU time this process has used so far, user plus
+// system. Unlike wall clock it does not advance while another process
+// holds the CPU.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // RunScalability runs conversion + schema discovery for growing corpus
 // slices (the paper scales to 380 documents) and fits time vs size. Each
-// size is timed as the fastest of scaleRepeats runs, taken in rounds over
-// all sizes, so a burst of host load slows one run of several sizes rather
-// than every run of one.
+// run is timed in process CPU time, so load from other processes does not
+// bend the fit, and each size keeps the fastest of scaleRepeats runs,
+// taken in rounds over all sizes.
 func RunScalability(sizes []int, seed int64) ScalabilityResult {
 	g := corpus.New(corpus.Options{Seed: seed})
 	max := 0
@@ -197,8 +210,16 @@ func RunScalability(sizes []int, seed int64) ScalabilityResult {
 	all := g.Corpus(max)
 	conv := resumeConverter()
 	set := concept.ResumeSet()
+	// Linux brings only the calling thread's CPU count up to date when
+	// cpuTime reads it, so the timed work stays on the reading thread.
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	run := func(n int) ScalePoint {
-		start := time.Now()
+		// Start every run from a collected heap, so a run's garbage
+		// collection work depends on what it allocates, not on what the
+		// runs before it left behind.
+		runtime.GC()
+		start := cpuTime()
 		var docs []*schema.DocPaths
 		nodes, conceptNodes := 0, 0
 		for _, r := range all[:n] {
@@ -215,7 +236,7 @@ func RunScalability(sizes []int, seed int64) ScalabilityResult {
 			Docs:         n,
 			Nodes:        nodes,
 			ConceptNodes: conceptNodes,
-			Millis:       float64(time.Since(start).Microseconds()) / 1000.0,
+			Millis:       float64((cpuTime() - start).Microseconds()) / 1000.0,
 		}
 	}
 	res := ScalabilityResult{Points: make([]ScalePoint, len(sizes))}
@@ -257,7 +278,7 @@ func linearR2(pts []ScalePoint) float64 {
 func (r ScalabilityResult) Report() string {
 	var b strings.Builder
 	b.WriteString("E3 — Scalability (Figure 5, §4.3): convert + discover, growing corpus\n")
-	fmt.Fprintf(&b, "    docs     nodes  concept-nodes   time(ms, fastest of %d)\n", scaleRepeats)
+	fmt.Fprintf(&b, "    docs     nodes  concept-nodes   cpu time(ms, fastest of %d)\n", scaleRepeats)
 	for _, p := range r.Points {
 		fmt.Fprintf(&b, "  %6d  %8d  %13d  %9.1f\n", p.Docs, p.Nodes, p.ConceptNodes, p.Millis)
 	}

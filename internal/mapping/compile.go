@@ -3,13 +3,12 @@ package mapping
 import "webrev/internal/dtd"
 
 // compiledElem is the per-element conformance table: the declaration plus
-// the membership and content-model-position maps conformNode would
-// otherwise rebuild for every node visit. Read-only after construction,
-// shared across parallel mapping workers.
+// the content-model-position map conformNode would otherwise rebuild for
+// every node visit. Read-only after construction, shared across parallel
+// mapping workers.
 type compiledElem struct {
-	decl    *dtd.Element
-	inModel map[string]bool // child tags admitted by the content model
-	pos     map[string]int  // child tag -> particle index in decl.Children
+	decl *dtd.Element
+	pos  map[string]int // child tag admitted by the model -> its particle index
 }
 
 // compiledDTD indexes compiledElem by element name.
@@ -45,20 +44,8 @@ func compiledIndex(d *dtd.DTD) (cd *compiledDTD, hit bool) {
 func buildCompiled(d *dtd.DTD) *compiledDTD {
 	cd := &compiledDTD{elems: make(map[string]*compiledElem, len(d.Elements))}
 	for _, el := range d.Elements {
-		ce := &compiledElem{
-			decl:    el,
-			inModel: make(map[string]bool, len(el.Children)),
-			pos:     make(map[string]int, len(el.Children)),
-		}
+		ce := &compiledElem{decl: el, pos: make(map[string]int, len(el.Children))}
 		for i, c := range el.Children {
-			if c.Group != nil {
-				for _, m := range c.Group {
-					ce.inModel[m.Name] = true
-					ce.pos[m.Name] = i
-				}
-				continue
-			}
-			ce.inModel[c.Name] = true
 			ce.pos[c.Name] = i
 		}
 		cd.elems[el.Name] = ce

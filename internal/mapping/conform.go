@@ -144,7 +144,7 @@ func conform(doc *dom.Node, d *dtd.DTD, e *edits) (out *dom.Node, hit bool) {
 // conformNode makes n's children match its declaration, then recurses:
 // undeclared children are deleted (leaves) or unwrapped (containers), the
 // rest are bucketed by content-model particle in model order, surplus
-// occurrences of single particles are merged and missing required ones
+// occurrences of a One or Opt particle are merged and missing required ones
 // inserted.
 func conformNode(n *dom.Node, cd *compiledDTD, e *edits) {
 	ce := cd.elems[n.Tag]
@@ -156,7 +156,10 @@ func conformNode(n *dom.Node, cd *compiledDTD, e *edits) {
 	for changed := true; changed; {
 		changed = false
 		for _, c := range n.Children {
-			if c.Type != dom.ElementNode || ce.inModel[c.Tag] {
+			if c.Type != dom.ElementNode {
+				continue
+			}
+			if _, ok := ce.pos[c.Tag]; ok {
 				continue
 			}
 			n.AppendVal(c.Val())
@@ -200,12 +203,6 @@ func conformNode(n *dom.Node, cd *compiledDTD, e *edits) {
 
 	for i, spec := range model {
 		b := buckets[i]
-		if spec.Group != nil {
-			for _, c := range assembleGroup(spec, b, n, e) {
-				n.AppendChild(c)
-			}
-			continue
-		}
 		switch spec.Repeat {
 		case dtd.One, dtd.Opt:
 			if len(b) > 1 {
@@ -237,63 +234,4 @@ func conformNode(n *dom.Node, cd *compiledDTD, e *edits) {
 	for _, c := range n.Children {
 		conformNode(c, cd, e)
 	}
-}
-
-// assembleGroup arranges the bucketed children b of n's group particle
-// spec into complete tuples, inserting placeholders for missing members
-// (and, for One/Opt groups, merging surplus occurrences of each member).
-// The result always satisfies the group's occurrence indicator.
-func assembleGroup(spec dtd.Child, b []*dom.Node, n *dom.Node, e *edits) []*dom.Node {
-	byName := make(map[string][]*dom.Node, len(spec.Group))
-	for _, c := range b {
-		byName[c.Tag] = append(byName[c.Tag], c)
-	}
-	k := 0
-	for _, m := range spec.Group {
-		if l := len(byName[m.Name]); l > k {
-			k = l
-		}
-	}
-	switch spec.Repeat {
-	case dtd.One, dtd.Opt:
-		if k > 1 {
-			for _, m := range spec.Group {
-				occ := byName[m.Name]
-				if len(occ) > 1 {
-					head := occ[0]
-					for _, extra := range occ[1:] {
-						head.AppendVal(extra.Val())
-						head.AdoptChildren(extra)
-						e.record(OpMerge, n, func() string {
-							return fmt.Sprintf("surplus <%s> merged into first group tuple", m.Name)
-						})
-					}
-					byName[m.Name] = occ[:1]
-				}
-			}
-			k = 1
-		}
-		if k == 0 && spec.Repeat == dtd.One {
-			k = 1
-		}
-	case dtd.Plus:
-		if k == 0 {
-			k = 1
-		}
-	}
-	var out []*dom.Node
-	for t := 0; t < k; t++ {
-		for _, m := range spec.Group {
-			occ := byName[m.Name]
-			if t < len(occ) {
-				out = append(out, occ[t])
-				continue
-			}
-			out = append(out, dom.NewElement(m.Name))
-			e.record(OpInsert, n, func() string {
-				return fmt.Sprintf("group member <%s> inserted to complete tuple %d", m.Name, t+1)
-			})
-		}
-	}
-	return out
 }

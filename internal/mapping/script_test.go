@@ -39,10 +39,10 @@ func TestConformScriptRecordsOperations(t *testing.T) {
 // TestConformScriptPinned pins ConformScript's exact output — every op's
 // kind, path and detail, in order, and the conformed tree — on a document
 // needing every operation kind: root rename, delete, unwrap, reorder at
-// two levels, plain merge and insert, group merge and insert; and on
-// empty input, which creates the root.
+// two levels, merge and insert; and on empty input, which creates the
+// root.
 func TestConformScriptPinned(t *testing.T) {
-	d, err := dtdParse(`<!ELEMENT resume ((#PCDATA), contact, (name, phone), education+)>
+	d, err := dtdParse(`<!ELEMENT resume ((#PCDATA), contact, name, phone, education+)>
 <!ELEMENT contact (#PCDATA)>
 <!ELEMENT name (#PCDATA)>
 <!ELEMENT phone (#PCDATA)>
@@ -77,8 +77,8 @@ func TestConformScriptPinned(t *testing.T) {
 				{OpUnwrap, "/resume", "undeclared container <section> spliced up"},
 				{OpReorder, "/resume", "children reordered to content-model order"},
 				{OpMerge, "/resume", "surplus <contact> merged into first occurrence"},
-				{OpMerge, "/resume", "surplus <name> merged into first group tuple"},
-				{OpInsert, "/resume", "group member <phone> inserted to complete tuple 1"},
+				{OpMerge, "/resume", "surplus <name> merged into first occurrence"},
+				{OpInsert, "/resume", "required <phone> inserted"},
 				{OpReorder, "/resume/education", "children reordered to content-model order"},
 				{OpInsert, "/resume/education", "required <degree> inserted"},
 			}},
@@ -87,8 +87,8 @@ func TestConformScriptPinned(t *testing.T) {
 			Script{
 				{OpInsert, "/", "empty input; created root resume"},
 				{OpInsert, "/resume", "required <contact> inserted"},
-				{OpInsert, "/resume", "group member <name> inserted to complete tuple 1"},
-				{OpInsert, "/resume", "group member <phone> inserted to complete tuple 1"},
+				{OpInsert, "/resume", "required <name> inserted"},
+				{OpInsert, "/resume", "required <phone> inserted"},
 				{OpInsert, "/resume", "required <education> inserted"},
 				{OpInsert, "/resume/education", "required <degree> inserted"},
 				{OpInsert, "/resume/education", "required <date> inserted"},
@@ -148,35 +148,6 @@ func TestScriptStatsMatchesConform(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestConformGroupParticles(t *testing.T) {
-	// A DTD with (institution, degree)+ under education: Conform must
-	// complete broken tuples.
-	src := `<!ELEMENT resume ((#PCDATA), education)>
-<!ELEMENT education ((#PCDATA), (institution, degree)+)>
-<!ELEMENT institution (#PCDATA)>
-<!ELEMENT degree (#PCDATA)>`
-	d, err := dtdParse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tuple with a missing degree and a surplus lone institution.
-	doc := el("resume", el("education",
-		el("institution"), el("degree"), el("institution"),
-	))
-	out, script := ConformScript(doc, d)
-	if !d.Conforms(out) {
-		t.Fatalf("group conformance failed: %v\n%s", d.Validate(out), script.String())
-	}
-	if script.Stats().Inserted != 1 {
-		t.Fatalf("expected one tuple-completing insert:\n%s", script.String())
-	}
-	// Empty education gets one full placeholder tuple.
-	out2, _ := ConformScript(el("resume", el("education")), d)
-	if !d.Conforms(out2) {
-		t.Fatalf("empty group conformance failed: %v", d.Validate(out2))
 	}
 }
 

@@ -174,8 +174,9 @@ const (
 	// CtrStoreEvictions counts decoded DOMs dropped from the LRU to stay
 	// under the MaxResidentDocs bound.
 	CtrStoreEvictions = "store.evictions"
-	// CtrStoreDeduped counts appended documents whose content hash matched
-	// an existing blob, so no new segment bytes were written.
+	// CtrStoreDeduped is incremented by no store: every append writes a
+	// blob of its own. The name stays because perfbench's
+	// repository.dedupe_ratio row reads it (as 0).
 	CtrStoreDeduped = "store.deduped"
 	// CtrShardsResumed counts shard workers of a sharded build that resumed
 	// from a previous run's checkpoint instead of starting fresh.

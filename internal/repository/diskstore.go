@@ -33,9 +33,10 @@ import (
 //	               before its index line, so every complete index line
 //	               points at complete data.
 //
-// Blobs are content-addressed by SHA-256: appending a document whose
-// canonical XML matches an existing blob writes only an index line (the
-// "store.deduped" counter), never duplicate segment bytes.
+// Every append writes its own blob; the index line records the blob's
+// SHA-256, which Load verifies and DirFingerprint hashes. Stores written
+// before appends stopped sharing blobs may hold index lines whose extents
+// coincide; they open and read as any other.
 //
 // Crash safety: OpenDiskStore scans the index, drops a torn final line,
 // and truncates segment bytes past the last indexed extent, so a store
@@ -57,7 +58,6 @@ type DiskStore struct {
 	seg     *os.File    // segment.blob: appends at segSize, pread anywhere
 	entries []diskEntry // one per document, insertion order
 	segSize int64
-	dedupe  map[[sha256.Size]byte]blobRef
 	lru     lruCache
 	idxW    *bufio.Writer
 	closed  bool
@@ -71,12 +71,6 @@ type diskEntry struct {
 	n    int32
 }
 
-// blobRef is a dedupe-map value: where an already-written blob lives.
-type blobRef struct {
-	off int64
-	n   int32
-}
-
 // DiskOptions tunes a DiskStore.
 type DiskOptions struct {
 	// MaxResidentDocs bounds the decoded-DOM LRU: at most this many parsed
@@ -84,20 +78,14 @@ type DiskOptions struct {
 	// used. 0 selects DefaultMaxResidentDocs; negative disables caching
 	// entirely (every Doc read decodes from disk).
 	MaxResidentDocs int
-	// Tracer records the store.hits / store.misses / store.evictions /
-	// store.deduped counters. Nil means the no-op tracer.
+	// Tracer records the store.hits / store.misses / store.evictions
+	// counters. Nil means the no-op tracer.
 	Tracer obs.Tracer
 }
 
 // DefaultMaxResidentDocs is the decoded-DOM LRU bound when
 // DiskOptions.MaxResidentDocs is 0.
 const DefaultMaxResidentDocs = 256
-
-// dedupeCap bounds the in-memory content-address map. Once the store
-// holds this many distinct blobs, new unique content is still stored but
-// no longer joins the map (so later identical appends of it write their
-// own bytes). The bound keeps writer memory independent of corpus size.
-const dedupeCap = 1 << 20
 
 const (
 	diskIndexFile   = "index.log"
@@ -224,19 +212,14 @@ func (s *DiskStore) scan(data []byte, segSize int64) (int, error) {
 
 // truncate keeps the first n entries and the first idxLen bytes of
 // index.log, cuts the segment after the kept entries' last byte so the
-// next append continues from a consistent pair, and rebuilds the dedupe
-// map and the cache to match.
+// next append continues from a consistent pair, and clears the cache.
 func (s *DiskStore) truncate(n, idxLen int) error {
 	if err := os.Truncate(filepath.Join(s.dir, diskIndexFile), int64(idxLen)); err != nil {
 		return err
 	}
 	s.entries, s.segSize = s.entries[:n], 0
-	s.dedupe = make(map[[sha256.Size]byte]blobRef)
 	for _, e := range s.entries {
 		s.segSize = max(s.segSize, e.off+int64(e.n))
-		if _, ok := s.dedupe[e.sum]; !ok && len(s.dedupe) < dedupeCap {
-			s.dedupe[e.sum] = blobRef{off: e.off, n: e.n}
-		}
 	}
 	s.lru.clear()
 	return s.seg.Truncate(s.segSize)
@@ -270,7 +253,6 @@ func newDiskStore(dir string, seg *os.File, opts DiskOptions) *DiskStore {
 		tr:          obs.OrNop(opts.Tracer),
 		maxResident: maxResident,
 		seg:         seg,
-		dedupe:      make(map[[sha256.Size]byte]blobRef),
 		lru:         lruCache{byIdx: make(map[int]*list.Element)},
 	}
 }
@@ -298,8 +280,7 @@ func (s *DiskStore) Append(name string, doc *dom.Node) error {
 }
 
 // AppendXML stores one document's canonical XML bytes (as produced by
-// xmlout.Marshal) under name. Identical content is deduplicated against
-// already-stored blobs.
+// xmlout.Marshal) under name, as a blob of its own.
 func (s *DiskStore) AppendXML(name string, xml []byte) error {
 	sum := sha256.Sum256(xml)
 	s.mu.Lock()
@@ -307,27 +288,18 @@ func (s *DiskStore) AppendXML(name string, xml []byte) error {
 	if s.closed || s.idx == nil {
 		return fmt.Errorf("repository: disk store: append on a closed or read-only store")
 	}
-	ref, dup := s.dedupe[sum]
-	if !dup {
-		if _, err := s.seg.WriteAt(xml, s.segSize); err != nil {
-			return fmt.Errorf("repository: disk store append: %w", err)
-		}
-		ref = blobRef{off: s.segSize, n: int32(len(xml))}
-		s.segSize += int64(len(xml))
-		if len(s.dedupe) < dedupeCap {
-			s.dedupe[sum] = ref
-		}
-	} else if s.tr.Enabled() {
-		s.tr.Add(obs.CtrStoreDeduped, 1)
+	if _, err := s.seg.WriteAt(xml, s.segSize); err != nil {
+		return fmt.Errorf("repository: disk store append: %w", err)
 	}
-	line, err := json.Marshal(diskLine{Name: name, Sha: hex.EncodeToString(sum[:]), Off: ref.off, Len: ref.n})
+	e := diskEntry{name: name, sum: sum, off: s.segSize, n: int32(len(xml))}
+	s.segSize += int64(len(xml))
+	line, err := json.Marshal(diskLine{Name: name, Sha: hex.EncodeToString(sum[:]), Off: e.off, Len: e.n})
 	if err != nil {
 		return fmt.Errorf("repository: disk store append: %w", err)
 	}
 	if _, err := s.idxW.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("repository: disk store append: %w", err)
 	}
-	e := diskEntry{name: name, off: ref.off, n: ref.n, sum: sum}
 	s.entries = append(s.entries, e)
 	return nil
 }

@@ -2,6 +2,7 @@ package repository
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,7 +32,7 @@ func storeDocs(t *testing.T) [][]byte {
 		testDoc("Ada"),
 		[]byte(xmlout.Marshal(grace)),
 		[]byte(xmlout.Marshal(skills)),
-		testDoc("Ada"), // duplicate of doc 0, for dedupe
+		testDoc("Ada"), // duplicate of doc 0
 	}
 }
 
@@ -123,46 +124,54 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDiskStoreDedupe(t *testing.T) {
+// TestDiskStoreIdenticalDocuments appends the same document six times:
+// each append writes its own blob and every copy reads back. A store
+// whose index lines share one extent, as appends wrote identical
+// documents before they stopped sharing blobs, still opens and reads
+// every document.
+func TestDiskStoreIdenticalDocuments(t *testing.T) {
 	dir := t.TempDir()
-	coll := obs.NewCollector()
-	s, err := CreateDiskStore(dir, DiskOptions{Tracer: coll})
+	s, err := CreateDiskStore(dir, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	xml := testDoc("Ada")
-	if err := s.AppendXML("a", xml); err != nil {
+	for i := 0; i < 6; i++ {
+		if err := s.AppendXML(fmt.Sprintf("copy-%d", i), xml); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segSize := func() int64 {
-		fi, err := os.Stat(filepath.Join(dir, "segment.blob"))
+	if fi, err := os.Stat(filepath.Join(dir, "segment.blob")); err != nil || fi.Size() != 6*int64(len(xml)) {
+		t.Fatalf("segment holds %v bytes (%v), want one blob per append: %d", fi.Size(), err, 6*len(xml))
+	}
+
+	shared := t.TempDir()
+	sha := sha256.Sum256(xml)
+	line := fmt.Sprintf(`{"name":%%q,"sha":"%x","off":0,"len":%d}`, sha, len(xml))
+	index := "webrev-diskstore v1\n" + fmt.Sprintf(line, "a") + "\n" + fmt.Sprintf(line, "b") + "\n"
+	if err := os.WriteFile(filepath.Join(shared, "index.log"), []byte(index), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(shared, "segment.blob"), xml, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for dir, n := range map[string]int{dir: 6, shared: 2} {
+		s, err := OpenDiskStore(dir, DiskOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fi.Size()
-	}
-	size1 := segSize()
-	for i := 0; i < 5; i++ {
-		if err := s.AppendXML(fmt.Sprintf("dup-%d", i), xml); err != nil {
-			t.Fatal(err)
+		if s.Len() != n {
+			t.Fatalf("%s: %d documents, want %d", dir, s.Len(), n)
 		}
-	}
-	// Identical content costs only index lines, never new segment bytes.
-	if grew := segSize() - size1; grew != 0 {
-		t.Fatalf("dedupe ineffective: segment grew %d bytes for 5 duplicate docs", grew)
-	}
-	if got := coll.Snapshot().Counters[obs.CtrStoreDeduped]; got != 5 {
-		t.Fatalf("store.deduped = %d, want 5", got)
-	}
-	for i := 0; i < s.Len(); i++ {
-		got, err := s.XML(i)
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < n; i++ {
+			if got, err := s.XML(i); err != nil || !bytes.Equal(got, xml) {
+				t.Fatalf("%s: doc %d = %q, %v", dir, i, got, err)
+			}
 		}
-		if !bytes.Equal(got, xml) {
-			t.Fatalf("deduped doc %d corrupted", i)
-		}
+		s.Close()
 	}
 }
 

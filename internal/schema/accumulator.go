@@ -3,7 +3,6 @@ package schema
 import (
 	"fmt"
 	"math/big"
-	"sort"
 )
 
 // Accumulator folds the per-document label-path statistics the miner needs
@@ -19,20 +18,15 @@ import (
 // Exactness is what makes Merge order-free. Document counts are integers;
 // per-document average child positions are accumulated as exact rational
 // sums (posRat — float addition is not associative, so a float accumulator
-// would make the result depend on shard boundaries); child-sequence samples
-// are tagged with the document's corpus index so the final sample is the
-// same first-N prefix regardless of which shard saw which document.
+// would make the result depend on shard boundaries). Every field is a sum
+// over the folded documents, so Subtract retires one document exactly and
+// any accumulator serves both the batch build and the continuous one.
 type Accumulator struct {
 	// rep is the sibling-multiplicity threshold (§3.3) repetition counts
 	// were folded with; accumulators only merge when they agree.
 	rep   int
 	docs  int
 	paths map[string]*pathAgg
-	// delta disables sequence-sample compaction so every folded document's
-	// sample survives verbatim and Subtract can retire it exactly. Delta
-	// accumulators trade bounded memory for invertibility; see
-	// NewDeltaAccumulator.
-	delta bool
 	// table caches Freeze()'s interned path table; any mutation (Add,
 	// Merge, Subtract, UnmarshalJSON) invalidates it.
 	table *PathTable
@@ -45,16 +39,6 @@ type pathAgg struct {
 	posSum  posRat // exact sum of per-document average child positions
 	posDocs int    // documents contributing to posSum
 	repDocs int    // documents where the path repeats (Mult >= rep)
-	seqs    []docSeqs
-	nseqs   int // total sequences held across seqs
-}
-
-// docSeqs is one document's child-label sequence sample for a path, tagged
-// with the document's corpus index so samples stay in corpus order across
-// shards.
-type docSeqs struct {
-	doc  int
-	seqs [][]string
 }
 
 // NewAccumulator returns an empty accumulator using the given repetition
@@ -66,20 +50,8 @@ func NewAccumulator(repThreshold int) *Accumulator {
 	return &Accumulator{rep: repThreshold, paths: make(map[string]*pathAgg)}
 }
 
-// NewDeltaAccumulator returns an empty accumulator whose folds are exactly
-// invertible with Subtract. It differs from NewAccumulator in one way:
-// sequence samples are never compacted, because compaction irreversibly
-// drops the per-document samples Subtract needs to retire. Mining a delta
-// accumulator is still byte-identical to mining a compacted one over the
-// same document set — the miner samples the same first-maxSeqSamples
-// corpus-ordered prefix either way — so the continuous build (the watch
-// loop) uses delta accumulators as its persistent shards without changing
-// any derived schema or DTD.
-func NewDeltaAccumulator(repThreshold int) *Accumulator {
-	a := NewAccumulator(repThreshold)
-	a.delta = true
-	return a
-}
+// NewDeltaAccumulator is NewAccumulator, kept for perfbench's recrawl.
+func NewDeltaAccumulator(repThreshold int) *Accumulator { return NewAccumulator(repThreshold) }
 
 // RepThreshold returns the repetition threshold the accumulator folds with.
 func (a *Accumulator) RepThreshold() int { return a.rep }
@@ -87,10 +59,12 @@ func (a *Accumulator) RepThreshold() int { return a.rep }
 // Docs returns the number of documents folded in so far.
 func (a *Accumulator) Docs() int { return a.docs }
 
-// Add folds one document's path statistics. doc is the document's index in
-// the corpus; each index must be folded into exactly one accumulator of a
-// merge group, and the combined result is identical to folding every
-// document into a single accumulator in index order.
+// Add folds one document's path statistics. Every statistic is a sum over
+// documents, so the result does not depend on fold order; doc, the
+// document's corpus index, is not read (perfbench still passes it). Each
+// document must be folded into exactly one accumulator of a merge group;
+// the merged result then equals folding every document into one
+// accumulator.
 func (a *Accumulator) Add(doc int, d *DocPaths) {
 	a.docs++
 	a.table = nil
@@ -111,13 +85,6 @@ func (a *Accumulator) Add(doc int, d *DocPaths) {
 		if d.Mult[p] >= a.rep {
 			ag.repDocs++
 		}
-		if seqs := d.ChildSeqs[p]; len(seqs) > 0 {
-			ag.seqs = append(ag.seqs, docSeqs{doc: doc, seqs: seqs})
-			ag.nseqs += len(seqs)
-			if !a.delta {
-				ag.compact()
-			}
-		}
 	}
 }
 
@@ -128,10 +95,8 @@ func (a *Accumulator) Add(doc int, d *DocPaths) {
 // loop) keeps it alongside the document in its persistent state.
 //
 // Subtract validates before mutating, so on error the accumulator is
-// unchanged. It fails when d references a path or sequence sample the
-// accumulator no longer holds — in particular when a non-delta
-// accumulator compacted the sample away; continuous builds must fold into
-// NewDeltaAccumulator shards.
+// unchanged. It fails when d references a path or contribution the
+// accumulator no longer holds.
 func (a *Accumulator) Subtract(doc int, d *DocPaths) error {
 	if a.docs <= 0 {
 		return fmt.Errorf("schema: subtract from empty accumulator")
@@ -146,9 +111,6 @@ func (a *Accumulator) Subtract(doc int, d *DocPaths) error {
 		}
 		if d.Mult[p] >= a.rep && ag.repDocs <= 0 {
 			return fmt.Errorf("schema: subtract of path %q: no repetition contributions left", p)
-		}
-		if len(d.ChildSeqs[p]) > 0 && !ag.hasDoc(doc) {
-			return fmt.Errorf("schema: subtract of path %q: no sequence sample for document %d (compacted away? continuous shards must use NewDeltaAccumulator)", p, doc)
 		}
 	}
 	a.docs--
@@ -174,37 +136,8 @@ func (a *Accumulator) Subtract(doc int, d *DocPaths) error {
 		if d.Mult[p] >= a.rep {
 			ag.repDocs--
 		}
-		if len(d.ChildSeqs[p]) > 0 {
-			ag.dropDoc(doc)
-		}
 	}
 	return nil
-}
-
-// hasDoc reports whether the aggregate still holds doc's sequence sample.
-func (g *pathAgg) hasDoc(doc int) bool {
-	for _, ds := range g.seqs {
-		if ds.doc == doc {
-			return true
-		}
-	}
-	return false
-}
-
-// dropDoc removes doc's sequence sample, preserving the order of the rest
-// and restoring a nil slice when the last sample goes (so fold-then-
-// subtract round-trips to deep equality).
-func (g *pathAgg) dropDoc(doc int) {
-	for i, ds := range g.seqs {
-		if ds.doc == doc {
-			g.nseqs -= len(ds.seqs)
-			g.seqs = append(g.seqs[:i], g.seqs[i+1:]...)
-			if len(g.seqs) == 0 {
-				g.seqs = nil
-			}
-			return
-		}
-	}
 }
 
 // Merge folds b into a. It is commutative and associative: any merge tree
@@ -214,9 +147,6 @@ func (g *pathAgg) dropDoc(doc int) {
 func (a *Accumulator) Merge(b *Accumulator) error {
 	if a.rep != b.rep {
 		return fmt.Errorf("schema: merging accumulators with different repetition thresholds (%d vs %d)", a.rep, b.rep)
-	}
-	if a.delta != b.delta {
-		return fmt.Errorf("schema: merging delta and non-delta accumulators")
 	}
 	a.docs += b.docs
 	a.table = nil
@@ -230,51 +160,8 @@ func (a *Accumulator) Merge(b *Accumulator) error {
 		ag.posSum.addRat(&bg.posSum)
 		ag.posDocs += bg.posDocs
 		ag.repDocs += bg.repDocs
-		ag.seqs = append(ag.seqs, bg.seqs...)
-		ag.nseqs += bg.nseqs
-		if !a.delta {
-			ag.compact()
-		}
 	}
 	return nil
-}
-
-// compact bounds the sequence sample. Only the first maxSeqSamples
-// sequences in corpus order can ever be reported, and a document that has
-// at least maxSeqSamples sequences from lower-indexed documents ahead of it
-// within this accumulator has at least as many ahead of it globally — so
-// everything past that point is dropped without affecting the merged
-// result. Runs only when the sample has grown well past the cap, keeping
-// Add amortized cheap.
-func (g *pathAgg) compact() {
-	if g.nseqs <= 2*maxSeqSamples {
-		return
-	}
-	sort.Slice(g.seqs, func(i, j int) bool { return g.seqs[i].doc < g.seqs[j].doc })
-	kept, total := 0, 0
-	for kept < len(g.seqs) && total < maxSeqSamples {
-		total += len(g.seqs[kept].seqs)
-		kept++
-	}
-	g.seqs = g.seqs[:kept:kept]
-	g.nseqs = total
-}
-
-// sample returns up to maxSeqSamples sequences for the path in corpus
-// order — the same prefix Miner.Discover collects when it walks documents
-// in slice order.
-func (g *pathAgg) sample() [][]string {
-	sort.Slice(g.seqs, func(i, j int) bool { return g.seqs[i].doc < g.seqs[j].doc })
-	var out [][]string
-	for _, ds := range g.seqs {
-		for _, s := range ds.seqs {
-			if len(out) >= maxSeqSamples {
-				return out
-			}
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // avgPos returns the mean of the per-document average child positions, and

@@ -9,7 +9,7 @@ import (
 )
 
 // jsonDoc builds a small document tree with repeated children so the
-// accumulator records positions, multiplicities, and sequence samples.
+// accumulator records positions and multiplicities.
 func jsonDoc(extra string) *dom.Node {
 	root := dom.NewElement("resume")
 	for i := 0; i < 3; i++ {

@@ -57,15 +57,7 @@ type Node struct {
 	RepFrac float64 // fraction of containing docs where the node repeats
 	// Children holds the node's frequent children, ordered by AvgPos.
 	Children []*Node
-	// Seqs samples the child-label sequences observed for this node across
-	// documents (capped), enabling repetitive group-pattern discovery in
-	// DTD derivation.
-	Seqs [][]string
 }
-
-// maxSeqSamples bounds the per-node sequence sample kept for group-pattern
-// detection.
-const maxSeqSamples = 256
 
 // Schema is the result of discovery: the majority schema tree plus the
 // exploration statistics reported in §4.2.
@@ -163,7 +155,6 @@ func (m *Miner) DiscoverStats(a *Accumulator) *Schema {
 		if contain > 0 {
 			node.RepFrac = float64(ag.repDocs) / float64(contain)
 		}
-		node.Seqs = ag.sample()
 		for _, c := range t.children[id] {
 			if cn := build(c, sup); cn != nil {
 				node.Children = append(node.Children, cn)

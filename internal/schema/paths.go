@@ -30,10 +30,6 @@ type DocPaths struct {
 	PosSum map[string]float64
 	// PosCount counts the occurrences PosSum accumulated per path.
 	PosCount map[string]int
-	// ChildSeqs records, for each path, the child-label sequences of its
-	// occurrences — the raw material for discovering repetitive group
-	// patterns like (e1,e2)+ (§3.3's closing remark, after XTRACT).
-	ChildSeqs map[string][][]string
 	// Nodes is the number of element nodes in the document (scalability
 	// metric of §4.3).
 	Nodes int
@@ -54,11 +50,10 @@ func (d *DocPaths) AvgPos(p string) (float64, bool) {
 // of every path.
 func Extract(root *dom.Node) *DocPaths {
 	d := &DocPaths{
-		Paths:     make(map[string]bool),
-		Mult:      make(map[string]int),
-		PosSum:    make(map[string]float64),
-		PosCount:  make(map[string]int),
-		ChildSeqs: make(map[string][][]string),
+		Paths:    make(map[string]bool),
+		Mult:     make(map[string]int),
+		PosSum:   make(map[string]float64),
+		PosCount: make(map[string]int),
 	}
 	var walk func(n *dom.Node, prefix string, pos int)
 	walk = func(n *dom.Node, prefix string, pos int) {
@@ -88,18 +83,13 @@ func Extract(root *dom.Node) *DocPaths {
 		} else {
 			d.Mult[path] = 1
 		}
-		var seq []string
 		i := 0
 		for _, c := range n.Children {
 			if c.Type != dom.ElementNode {
 				continue
 			}
-			seq = append(seq, c.Tag)
 			walk(c, path, i)
 			i++
-		}
-		if len(seq) > 0 {
-			d.ChildSeqs[path] = append(d.ChildSeqs[path], seq)
 		}
 	}
 	walk(root, "", 0)

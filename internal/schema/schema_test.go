@@ -362,32 +362,3 @@ func BenchmarkDiscover(b *testing.B) {
 		m.Discover(docs)
 	}
 }
-
-func TestExtractChildSeqs(t *testing.T) {
-	d := Extract(treeC())
-	seqs := d.ChildSeqs["resume/education"]
-	if len(seqs) != 1 {
-		t.Fatalf("seqs = %v", seqs)
-	}
-	want := []string{"institution", "degree", "date", "date"}
-	if !reflect.DeepEqual(seqs[0], want) {
-		t.Fatalf("seq = %v, want %v", seqs[0], want)
-	}
-	if len(d.ChildSeqs["resume/education/date"]) != 0 {
-		t.Fatal("leaf should record no child sequences")
-	}
-}
-
-func TestMinerAggregatesSeqs(t *testing.T) {
-	m := &Miner{SupThreshold: 0.5}
-	s := m.Discover(corpus())
-	var edu *Node
-	for _, c := range s.Root().Children {
-		if c.Label == "education" {
-			edu = c
-		}
-	}
-	if edu == nil || len(edu.Seqs) != 3 {
-		t.Fatalf("education seqs = %+v", edu)
-	}
-}

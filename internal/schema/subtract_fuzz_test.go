@@ -11,7 +11,7 @@ import (
 
 // FuzzFoldSubtract drives an arbitrary fold/subtract interleaving over a
 // small document pool and requires the surviving accumulator to match a
-// from-scratch delta accumulator over the live set: identical JSON and an
+// from-scratch accumulator over the live set: identical JSON and an
 // identical mined schema. Each op byte toggles one document in or out.
 func FuzzFoldSubtract(f *testing.F) {
 	f.Add("<resume><contact/><education><degree/></education></resume>", []byte{0, 1, 2, 1, 0})
@@ -30,7 +30,7 @@ func FuzzFoldSubtract(f *testing.F) {
 		for i := 0; i < 4; i++ {
 			docs = append(docs, Extract(htmlparse.Parse(src[len(src)*i/4:])))
 		}
-		acc := NewDeltaAccumulator(0)
+		acc := NewAccumulator(0)
 		live := make(map[int]bool)
 		for _, op := range ops {
 			i := int(op) % len(docs)
@@ -44,7 +44,7 @@ func FuzzFoldSubtract(f *testing.F) {
 				live[i] = true
 			}
 		}
-		fresh := NewDeltaAccumulator(0)
+		fresh := NewAccumulator(0)
 		for i := range docs {
 			if live[i] {
 				fresh.Add(i, docs[i])

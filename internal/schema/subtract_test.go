@@ -20,15 +20,16 @@ func marshalAcc(t testing.TB, a *schema.Accumulator) []byte {
 	return b
 }
 
-// TestSubtractRestoresAccumulator is the retirement property the delta
-// build rests on: folding a document and subtracting it again restores the
-// accumulator to a state deep-equal (and JSON-identical) to one that never
-// saw the document — for every choice of which document is retired.
+// TestSubtractRestoresAccumulator is the retirement property the watch
+// loop's incremental build rests on: folding a document and subtracting it
+// again restores the accumulator to a state deep-equal (and JSON-identical)
+// to one that never saw the document — for every choice of which document
+// is retired.
 func TestSubtractRestoresAccumulator(t *testing.T) {
 	docs := convertedCorpus(t, 30, 5)
 	for k := range docs {
-		base := schema.NewDeltaAccumulator(0)
-		mutated := schema.NewDeltaAccumulator(0)
+		base := schema.NewAccumulator(0)
+		mutated := schema.NewAccumulator(0)
 		for i, d := range docs {
 			if i == k {
 				continue
@@ -50,15 +51,15 @@ func TestSubtractRestoresAccumulator(t *testing.T) {
 }
 
 // TestSubtractToEmpty retires the only folded document and requires the
-// result to deep-equal a fresh delta accumulator.
+// result to deep-equal a fresh accumulator.
 func TestSubtractToEmpty(t *testing.T) {
 	docs := convertedCorpus(t, 1, 17)
-	acc := schema.NewDeltaAccumulator(0)
+	acc := schema.NewAccumulator(0)
 	acc.Add(0, docs[0])
 	if err := acc.Subtract(0, docs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(acc, schema.NewDeltaAccumulator(0)) {
+	if !reflect.DeepEqual(acc, schema.NewAccumulator(0)) {
 		t.Fatal("subtracting the only document did not restore the empty accumulator")
 	}
 	if err := acc.Subtract(0, docs[0]); err == nil {
@@ -74,7 +75,7 @@ func TestSubtractRandomInterleaving(t *testing.T) {
 	m := &schema.Miner{SupThreshold: 0.3, RatioThreshold: 0.1}
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 10; trial++ {
-		acc := schema.NewDeltaAccumulator(0)
+		acc := schema.NewAccumulator(0)
 		live := make(map[int]bool)
 		for op := 0; op < 120; op++ {
 			i := rng.Intn(len(docs))
@@ -88,7 +89,7 @@ func TestSubtractRandomInterleaving(t *testing.T) {
 				live[i] = true
 			}
 		}
-		fresh := schema.NewDeltaAccumulator(0)
+		fresh := schema.NewAccumulator(0)
 		for i := range docs {
 			if live[i] {
 				fresh.Add(i, docs[i])
@@ -104,70 +105,70 @@ func TestSubtractRandomInterleaving(t *testing.T) {
 	}
 }
 
-// TestSubtractErrors pins the failure modes: unknown paths, and retiring a
-// document whose sequence sample a non-delta accumulator compacted away. A
-// failed subtract must leave the accumulator untouched.
+// TestSubtractErrors pins the failure modes — an empty accumulator, a
+// path never folded, a repetition never counted — and requires a failed
+// subtract to leave the accumulator untouched.
 func TestSubtractErrors(t *testing.T) {
-	seqDoc := func(i int) *schema.DocPaths {
-		return &schema.DocPaths{
-			Paths:     map[string]bool{"r": true, "r/e": true},
-			Mult:      map[string]int{"r": 1, "r/e": 4},
-			PosSum:    map[string]float64{"r": 0, "r/e": float64(i % 5)},
-			PosCount:  map[string]int{"r": 1, "r/e": 1},
-			ChildSeqs: map[string][][]string{"r": {{"e", "e"}}},
-		}
-	}
-
-	// Compaction in a non-delta accumulator drops old samples; subtracting
-	// such a document must fail cleanly.
+	docs := convertedCorpus(t, 2, 31)
 	acc := schema.NewAccumulator(0)
-	for i := 0; i < 600; i++ {
-		acc.Add(i, seqDoc(i))
+	if err := acc.Subtract(0, docs[0]); err == nil {
+		t.Fatal("subtract from an empty accumulator succeeded")
 	}
-	// Doc 300's sample sits past the kept corpus-order prefix at the time
-	// compaction fires, so it is gone from the non-delta accumulator.
+	acc.Add(0, docs[0])
+	acc.Add(1, docs[1])
+
+	// A path never folded.
+	stranger := &schema.DocPaths{Paths: map[string]bool{"never-folded": true}}
 	before := marshalAcc(t, acc)
-	if err := acc.Subtract(300, seqDoc(300)); err == nil {
-		t.Fatal("subtract of a compacted-away sample succeeded")
+	if err := acc.Subtract(0, stranger); err == nil {
+		t.Fatal("subtract of an unknown path succeeded")
 	}
 	if after := marshalAcc(t, acc); !bytes.Equal(before, after) {
 		t.Fatal("failed subtract mutated the accumulator")
 	}
 
-	// A delta accumulator never compacts, so the same retirement succeeds.
-	del := schema.NewDeltaAccumulator(0)
-	for i := 0; i < 600; i++ {
-		del.Add(i, seqDoc(i))
+	// A repetition the accumulator never counted on a path it holds.
+	rep := &schema.DocPaths{
+		Paths: map[string]bool{"resume": true},
+		Mult:  map[string]int{"resume": 9},
 	}
-	if err := del.Subtract(300, seqDoc(300)); err != nil {
-		t.Fatalf("delta subtract failed: %v", err)
+	if err := acc.Subtract(0, rep); err == nil {
+		t.Fatal("subtract of an uncounted repetition succeeded")
 	}
-
-	// Unknown path.
-	stranger := &schema.DocPaths{Paths: map[string]bool{"never-folded": true}}
-	before = marshalAcc(t, del)
-	if err := del.Subtract(0, stranger); err == nil {
-		t.Fatal("subtract of an unknown path succeeded")
-	}
-	if after := marshalAcc(t, del); !bytes.Equal(before, after) {
+	if after := marshalAcc(t, acc); !bytes.Equal(before, after) {
 		t.Fatal("failed subtract mutated the accumulator")
 	}
 }
 
-// TestSubtractMergeDeltaMismatch rejects merging delta and non-delta
-// accumulators: their sequence samples are not comparable (one compacts).
-func TestSubtractMergeDeltaMismatch(t *testing.T) {
-	a, b := schema.NewDeltaAccumulator(0), schema.NewAccumulator(0)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merge of delta and non-delta accumulators succeeded")
+// TestSubtractAfterManyFolds retires one document from the middle of 600
+// folded into a single accumulator and requires the result to deep-equal
+// folding the other 599 under the same indices: no statistic the
+// accumulator keeps is dropped or bounded as the corpus grows.
+func TestSubtractAfterManyFolds(t *testing.T) {
+	docs := convertedCorpus(t, 600, 37)
+	if len(docs[299].Paths) < 2 {
+		t.Fatalf("document 300's root has no children: %v", docs[299].Paths)
+	}
+	acc, want := schema.NewAccumulator(0), schema.NewAccumulator(0)
+	for i, d := range docs {
+		acc.Add(i, d)
+		if i != 299 {
+			want.Add(i, d)
+		}
+	}
+	if err := acc.Subtract(299, docs[299]); err != nil {
+		t.Fatalf("subtract document 300 of 600: %v", err)
+	}
+	if !reflect.DeepEqual(acc, want) {
+		t.Fatal("fold 600 + subtract the 300th differs from folding the other 599")
 	}
 }
 
-// TestSubtractDeltaJSONRoundTrip requires the delta flag to survive the
-// wire format: a restored delta shard must still subtract exactly.
-func TestSubtractDeltaJSONRoundTrip(t *testing.T) {
+// TestSubtractJSONRoundTrip requires an accumulator restored from its JSON
+// encoding to equal the original and still subtract exactly.
+func TestSubtractJSONRoundTrip(t *testing.T) {
 	docs := convertedCorpus(t, 8, 29)
-	acc := schema.NewDeltaAccumulator(0)
+	acc := schema.NewAccumulator(0)
 	for i, d := range docs {
 		acc.Add(i, d)
 	}
@@ -175,8 +176,8 @@ func TestSubtractDeltaJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(marshalAcc(t, acc), &restored); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(&restored, acc) { // the delta flag included
-		t.Fatal("restored delta accumulator differs")
+	if !reflect.DeepEqual(&restored, acc) {
+		t.Fatal("restored accumulator differs")
 	}
 	if err := restored.Subtract(3, docs[3]); err != nil {
 		t.Fatalf("subtract on restored accumulator: %v", err)
@@ -184,7 +185,7 @@ func TestSubtractDeltaJSONRoundTrip(t *testing.T) {
 }
 
 // TestSubtractShardedRace mirrors the watch loop's concurrency shape: each
-// worker owns one delta shard and folds/retires documents on it
+// worker owns one shard and folds/retires documents on it
 // concurrently with the other workers. Run under -race this pins that
 // Subtract shares no hidden state across accumulators; the merged result
 // must still match a from-scratch accumulator over the surviving set.
@@ -193,7 +194,7 @@ func TestSubtractShardedRace(t *testing.T) {
 	const shards = 8
 	accs := make([]*schema.Accumulator, shards)
 	for i := range accs {
-		accs[i] = schema.NewDeltaAccumulator(0)
+		accs[i] = schema.NewAccumulator(0)
 	}
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
@@ -212,13 +213,13 @@ func TestSubtractShardedRace(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	merged := schema.NewDeltaAccumulator(0)
+	merged := schema.NewAccumulator(0)
 	for _, a := range accs {
 		if err := merged.Merge(a); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fresh := schema.NewDeltaAccumulator(0)
+	fresh := schema.NewAccumulator(0)
 	for i := range docs {
 		if (i/shards)%2 != 0 {
 			fresh.Add(i, docs[i])

@@ -19,7 +19,7 @@ import (
 // previous cycle's derivation (supports, DTD text, per-site conformance)
 // that the next drift report diffs against — and names the store whose
 // first "stored" entries are the live documents in accumulator-index
-// order, each named by its URL. The delta accumulator is not persisted:
+// order, each named by its URL. The accumulator is not persisted:
 // load re-extracts it from the documents.
 //
 // A build's version-2 shard checkpoint — what an interrupted BuildStream
@@ -129,7 +129,7 @@ func (w *Watcher) save() error {
 // load restores the watcher from its state directory. A missing manifest is
 // a fresh start, not an error. A version-3 manifest or a version-2 shard
 // checkpoint names a store; its first Stored documents become the live
-// corpus under indices 0..Stored-1, each folded into the fresh delta
+// corpus under indices 0..Stored-1, each folded into the fresh
 // accumulator.
 func (w *Watcher) load() error {
 	dir := w.opt.StateDir

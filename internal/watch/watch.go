@@ -17,7 +17,7 @@
 // State persists between process lives in a versioned state directory
 // (see state.go): a manifest of the crawl validators and the previous
 // derivation, plus a disk store of every live converted document, from
-// which the delta accumulator is re-extracted on load. A Watcher pointed
+// which the accumulator is re-extracted on load. A Watcher pointed
 // at an existing state directory resumes exactly where the previous one
 // stopped.
 package watch
@@ -108,7 +108,7 @@ func New(opt Options) (*Watcher, error) {
 		opt:          opt,
 		tr:           obs.OrNop(opt.Tracer),
 		crawl:        crawler.NewCrawlState(),
-		acc:          schema.NewDeltaAccumulator(0),
+		acc:          schema.NewAccumulator(0),
 		docs:         make(map[string]*docEntry),
 		prevSupports: make(map[string]float64),
 		prevSites:    make(map[string]siteRate),
