@@ -29,9 +29,10 @@ COVER_ARGS = webrev/internal/bayes webrev/internal/convert webrev/internal/xmlou
 # Benchmarks gating the CI bench-regression job: the per-document convert
 # hot path (tokenize, classify, concept matching, parse, serialize), the
 # store decoder every stored document is read back through, the schema
-# stages, and the served val predicates (a contains count over a frozen
-# path index, the concept endpoint).
-CONVERT_BENCH = 'BenchmarkConvertResume|BenchmarkClassify|BenchmarkFrozenClassify|BenchmarkFindAllResume|BenchmarkParseResumeLike|BenchmarkMarshal|BenchmarkUnmarshal|BenchmarkExtract|BenchmarkDiscover|BenchmarkCountContains|BenchmarkServeConcept'
+# stages, the served val predicates (a contains count over a frozen
+# path index, the concept endpoint), and the open of a disk repository to
+# its first answer.
+CONVERT_BENCH = 'BenchmarkConvertResume|BenchmarkClassify|BenchmarkFrozenClassify|BenchmarkFindAllResume|BenchmarkParseResumeLike|BenchmarkMarshal|BenchmarkUnmarshal|BenchmarkExtract|BenchmarkDiscover|BenchmarkCountContains|BenchmarkServeConcept|BenchmarkOpenSnapshot'
 
 build:
 	$(GO) build ./...
@@ -58,15 +59,18 @@ race:
 # per-shard path accumulators to the serial fold, on arbitrary inputs;
 # the store decoder must accept exactly what Marshal writes (an accepted
 # input re-marshals to itself and encoding/xml accepts it; a built tree
-# round-trips); fold/subtract interleavings over any accumulator must
-# exactly invert, as every accumulator is of one kind; opening a repository
-# directory from arbitrary index.log and segment.blob bytes must never
-# panic, and reading it must never write; opening a build shard's
-# checkpoint or a watch state directory from an arbitrary state.json must
-# fail or yield a consistent state (stored documents within the store,
-# the accumulator folding exactly them), never panic, and never touch a
-# path outside the directory. Go allows one -fuzz target per invocation,
-# so each gets its own short run.
+# round-trips), and its tree-free visitor exactly the same inputs;
+# fold/subtract interleavings over any accumulator must exactly invert, as
+# every accumulator is of one kind; opening a repository directory from
+# arbitrary index.log and segment.blob bytes must never panic, reading it
+# must never write, and its serving index must agree with its tree index;
+# an index line the exact parser reads must read the same through
+# encoding/json, and every line the store writes must read back; opening
+# a build shard's checkpoint or a watch state directory from an arbitrary
+# state.json must fail or yield a consistent state (stored documents
+# within the store, the accumulator folding exactly them), never panic,
+# and never touch a path outside the directory. Go allows one -fuzz target
+# per invocation, so each gets its own short run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHTMLParse -fuzztime $(FUZZTIME) ./internal/htmlparse/
 	$(GO) test -run '^$$' -fuzz FuzzTidy -fuzztime $(FUZZTIME) ./internal/tidy/
@@ -77,6 +81,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMinePaths -fuzztime $(FUZZTIME) ./internal/schema/
 	$(GO) test -run '^$$' -fuzz FuzzFoldSubtract -fuzztime $(FUZZTIME) ./internal/schema/
 	$(GO) test -run '^$$' -fuzz FuzzDiskStoreOpen -fuzztime $(FUZZTIME) ./internal/repository/
+	$(GO) test -run '^$$' -fuzz FuzzIndexLine -fuzztime $(FUZZTIME) ./internal/repository/
 	$(GO) test -run '^$$' -fuzz FuzzShardState -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzWatchState -fuzztime $(FUZZTIME) ./internal/watch/
 

@@ -181,18 +181,15 @@ func (p *Pipeline) BuildShardedFrom(ctx context.Context, n int, at func(i int) (
 	return res, nil
 }
 
-// appendSegment copies every document of the disk store in dir to final.
+// appendSegment copies every document of the disk store in dir to final,
+// reading the segment in runs.
 func appendSegment(final *repository.DiskStore, dir string) error {
 	seg, err := repository.OpenDiskStore(dir, repository.DiskOptions{MaxResidentDocs: -1})
 	if err != nil {
 		return err
 	}
 	defer seg.Close()
-	for j := 0; j < seg.Len() && err == nil; j++ {
-		var xml []byte
-		if xml, err = seg.XML(j); err == nil {
-			err = final.AppendXML(seg.Name(j), xml)
-		}
-	}
-	return err
+	return seg.EachXML(func(j int, xml []byte) error {
+		return final.AppendXML(seg.Name(j), xml)
+	})
 }

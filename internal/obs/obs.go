@@ -75,7 +75,8 @@ const (
 	// endpoints; the serve counters below split the traffic).
 	StageServe = "serve.request"
 	// StageServeSwap times building and atomically installing a new
-	// serving snapshot (internal/serve.Server.Swap).
+	// serving snapshot, one per generation (internal/serve: NewServer,
+	// Swap, TrySwap).
 	StageServeSwap = "serve.swap"
 	// StageWatch times one full continuous-operation cycle (conditional
 	// recrawl, delta fold, incremental re-derive, drift report) of the

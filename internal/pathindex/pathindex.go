@@ -8,24 +8,30 @@
 package pathindex
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 
 	"webrev/internal/dom"
 	"webrev/internal/schema"
+	"webrev/internal/xmlout"
 )
 
 // Ref is one posting of a label path: an occurrence's document, node and
 // child position, plus the node's val, so that a query's predicate reads
 // the posting instead of the tree.
 type Ref struct {
-	Doc  int // index into the corpus the index was built from
+	Doc int // index into the corpus the index was built from
+	// Node is the occurrence's element in the tree Build indexed. It is
+	// nil in an index BuildXML built from stored bytes, which keeps no
+	// tree: read Val, Doc and Pos instead.
 	Node *dom.Node
 	Pos  int // child position among the parent's element children
-	// Val is Node.Val(), read once by Build. It shares the tree's bytes
-	// (for a stored document, the decoded blob's), so nothing is copied.
-	// It cannot go stale: an indexed tree is never mutated (the Store
-	// contract), and Repository.Add drops the index it would invalidate.
+	// Val is the node's val, read once at build time. It shares the
+	// document's bytes (a decoded tree's, or the stored bytes BuildXML
+	// read), so nothing is copied. It cannot go stale: an indexed tree is
+	// never mutated (the Store contract), and Repository.Add drops the
+	// index it would invalidate.
 	Val string
 }
 
@@ -38,7 +44,7 @@ type postings struct {
 }
 
 // Index maps label paths to their occurrences across a corpus. It is not
-// modified after Build.
+// modified after Build or BuildXML.
 type Index struct {
 	docs    int
 	byPath  map[string]postings
@@ -52,40 +58,56 @@ type pathKey struct {
 	tag    string
 }
 
-// pathEntry is one distinct path while Build runs.
+// pathEntry is one distinct path while an index is built.
 type pathEntry struct {
 	path    string
 	tag     string
-	n       int // elements on the path, counted by pass one
-	lastDoc int // pass two's last document, for counting documents
+	n       int // elements on the path
+	lastDoc int // the last document filled, for counting documents
 	postings
 }
 
-// builder is the state of one Build: the interned paths and, in walk
-// order, each element's path id.
+// builder is the one index builder behind Build and BuildXML. It interns
+// each path by (parent path, label) and counts its elements; cut then
+// cuts every path's postings from one slab of exactly the element count,
+// each with its capacity clipped, and add fills them in walk order,
+// summing positions and counting documents. A (parent path, label) pair
+// names one path string because labels never contain schema.Sep, which
+// schema.Extract's path keys assume too.
 type builder struct {
 	ids   map[pathKey]int32
 	paths []pathEntry
-	walk  []int32 // path id of every element, in walk order
-	next  int     // pass two's cursor into walk
 }
 
-// Build indexes the given document trees. Only element nodes participate.
-//
-// It runs in two passes so that every posting is written once into memory
-// sized for it. Pass one interns each path by (parent path, label),
-// records every element's path id in walk order and counts the elements
-// per path. Then one slab of exactly the element count is cut into the
-// paths' postings, each with its capacity clipped, and pass two fills
-// them in the same walk order, summing positions and counting documents.
-// A (parent path, label) pair names one path string because labels never
-// contain schema.Sep, which schema.Extract's path keys assume too.
-func Build(docs []*dom.Node) *Index {
-	b := &builder{ids: make(map[pathKey]int32)}
-	for _, d := range docs {
-		b.intern(d, -1)
+// intern returns the id of the path whose parent path is parent and whose
+// last label is tag, and counts one element on it.
+func (b *builder) intern(parent int32, tag string) int32 {
+	if b.ids == nil {
+		b.ids = make(map[pathKey]int32)
 	}
-	slab := make([]Ref, len(b.walk))
+	k := pathKey{parent: parent, tag: tag}
+	id, ok := b.ids[k]
+	if !ok {
+		id = int32(len(b.paths))
+		path := tag
+		if parent >= 0 {
+			path = b.paths[parent].path + schema.Sep + tag
+		}
+		b.ids[k] = id
+		b.paths = append(b.paths, pathEntry{path: path, tag: tag})
+	}
+	b.paths[id].n++
+	return id
+}
+
+// cut gives every interned path its postings, cut from one slab of
+// exactly the element count.
+func (b *builder) cut() {
+	n := 0
+	for i := range b.paths {
+		n += b.paths[i].n
+	}
+	slab := make([]Ref, n)
 	off := 0
 	for i := range b.paths {
 		e := &b.paths[i]
@@ -93,11 +115,23 @@ func Build(docs []*dom.Node) *Index {
 		e.lastDoc = -1
 		off += e.n
 	}
-	for i, d := range docs {
-		b.fill(i, d, 0)
+}
+
+// add appends one posting to path id's.
+func (b *builder) add(id int32, r Ref) {
+	e := &b.paths[id]
+	e.refs = append(e.refs, r)
+	e.posSum += r.Pos
+	if e.lastDoc != r.Doc {
+		e.docs++
+		e.lastDoc = r.Doc
 	}
+}
+
+// index returns the filled index over docs documents.
+func (b *builder) index(docs int) *Index {
 	ix := &Index{
-		docs:    len(docs),
+		docs:    docs,
 		byPath:  make(map[string]postings, len(b.paths)),
 		byLabel: make(map[string][]string),
 	}
@@ -112,52 +146,128 @@ func Build(docs []*dom.Node) *Index {
 	return ix
 }
 
-// intern is pass one over the subtree at n, whose parent's path id is
+// treeWalk feeds the builder from document trees in two passes: the first
+// interns every element's path and records its id in walk order, the
+// second fills the postings in the same order.
+type treeWalk struct {
+	builder
+	walk []int32 // path id of every element, in walk order
+	next int     // pass two's cursor into walk
+}
+
+// Build indexes the given document trees. Only element nodes participate,
+// and every posting holds its node.
+func Build(docs []*dom.Node) *Index {
+	var w treeWalk
+	for _, d := range docs {
+		w.intern1(d, -1)
+	}
+	w.cut()
+	for i, d := range docs {
+		w.fill(i, d, 0)
+	}
+	return w.index(len(docs))
+}
+
+// intern1 is pass one over the subtree at n, whose parent's path id is
 // parent.
-func (b *builder) intern(n *dom.Node, parent int32) {
+func (w *treeWalk) intern1(n *dom.Node, parent int32) {
 	if n.Type != dom.ElementNode {
 		return
 	}
-	k := pathKey{parent: parent, tag: n.Tag}
-	id, ok := b.ids[k]
-	if !ok {
-		id = int32(len(b.paths))
-		path := n.Tag
-		if parent >= 0 {
-			path = b.paths[parent].path + schema.Sep + n.Tag
-		}
-		b.ids[k] = id
-		b.paths = append(b.paths, pathEntry{path: path, tag: n.Tag})
-	}
-	b.paths[id].n++
-	b.walk = append(b.walk, id)
+	id := w.intern(parent, n.Tag)
+	w.walk = append(w.walk, id)
 	for _, c := range n.Children {
-		b.intern(c, id)
+		w.intern1(c, id)
 	}
 }
 
 // fill is pass two: it writes the postings of document doc's subtree at n,
 // at child position pos, in pass one's walk order.
-func (b *builder) fill(doc int, n *dom.Node, pos int) {
+func (w *treeWalk) fill(doc int, n *dom.Node, pos int) {
 	if n.Type != dom.ElementNode {
 		return
 	}
-	e := &b.paths[b.walk[b.next]]
-	b.next++
-	e.refs = append(e.refs, Ref{Doc: doc, Node: n, Pos: pos, Val: n.Val()})
-	e.posSum += pos
-	if e.lastDoc != doc {
-		e.docs++
-		e.lastDoc = doc
-	}
+	w.add(w.walk[w.next], Ref{Doc: doc, Node: n, Pos: pos, Val: n.Val()})
+	w.next++
 	i := 0
 	for _, c := range n.Children {
 		if c.Type != dom.ElementNode {
 			continue
 		}
-		b.fill(doc, c, i)
+		w.fill(doc, c, i)
 		i++
 	}
+}
+
+// BuildXML indexes documents stored as Marshal's canonical bytes (DESIGN.md
+// §8), each decoded by xmlout.EachElement, so it accepts exactly the
+// documents xmlout.UnmarshalElement decodes and gives the index Build gives
+// for their trees, except that no tree is built: every posting's Node is
+// nil, and its Val is a substring of its document unless the val holds a
+// reference. It fails on the first document that does not decode.
+//
+// Decoding twice would cost more than remembering one pass, so BuildXML
+// records each element's (path id, document, position, val) once, in walk
+// order, and fills the postings from that record. The record grows in
+// fixed blocks, which are never copied.
+func BuildXML(docs []string) (*Index, error) {
+	var w xmlWalk
+	record := w.element
+	for i, src := range docs {
+		w.doc = int32(i)
+		if err := xmlout.EachElement(src, record); err != nil {
+			return nil, fmt.Errorf("pathindex: document %d: %w", i, err)
+		}
+	}
+	w.cut()
+	for _, block := range w.blocks {
+		for _, e := range block {
+			w.add(e.id, Ref{Doc: int(e.doc), Pos: int(e.pos), Val: e.val})
+		}
+	}
+	return w.index(len(docs)), nil
+}
+
+// recordBlock is the number of elements one block of BuildXML's record
+// holds.
+const recordBlock = 4096
+
+// xmlWalk feeds the builder from xmlout.EachElement's reports.
+type xmlWalk struct {
+	builder
+	doc    int32
+	open   []frame        // the current element's ancestors and itself
+	blocks [][]occurrence // the record, in walk order
+}
+
+// frame is one open element: its path id and its element children so far.
+type frame struct {
+	id   int32
+	kids int32
+}
+
+// occurrence is one recorded element.
+type occurrence struct {
+	id, doc, pos int32
+	val          string
+}
+
+// element records the next element of the current document, at depth.
+func (w *xmlWalk) element(depth int, name, val string) {
+	parent, pos := int32(-1), int32(0)
+	if depth > 0 {
+		f := &w.open[depth-1]
+		parent, pos = f.id, f.kids
+		f.kids++
+	}
+	id := w.intern(parent, name)
+	w.open = append(w.open[:depth], frame{id: id})
+	if k := len(w.blocks); k == 0 || len(w.blocks[k-1]) == recordBlock {
+		w.blocks = append(w.blocks, make([]occurrence, 0, recordBlock))
+	}
+	last := &w.blocks[len(w.blocks)-1]
+	*last = append(*last, occurrence{id: id, doc: w.doc, pos: pos, val: val})
 }
 
 // Docs returns the number of indexed documents.
@@ -185,13 +295,14 @@ func (ix *Index) PathsEndingIn(label string) []string {
 
 // DocFrequency returns the number of distinct documents containing the
 // path — the support numerator of §3.2 served from the index. Frequencies
-// are counted at Build; a call allocates nothing.
+// are counted at build time; a call allocates nothing.
 func (ix *Index) DocFrequency(path string) int {
 	return ix.byPath[path].docs
 }
 
 // AvgPosition returns the mean child position of the path's occurrences —
-// the ordering rule's statistic (§3.3), from the position sum Build keeps.
+// the ordering rule's statistic (§3.3), from the position sum kept at
+// build time.
 func (ix *Index) AvgPosition(path string) (float64, bool) {
 	return ix.byPath[path].avgPosition()
 }

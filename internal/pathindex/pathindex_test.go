@@ -4,10 +4,12 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"webrev/internal/dom"
 	"webrev/internal/schema"
+	"webrev/internal/xmlout"
 )
 
 func el(tag string, children ...*dom.Node) *dom.Node {
@@ -240,45 +242,97 @@ func randomDocs(r *rand.Rand) []*dom.Node {
 // TestPropertyBuildMatchesReferenceWalk: on random trees, Build and its
 // frozen form answer every read exactly as the recursive walk does, and
 // each path's postings carry the same documents, positions and nodes in
-// the same order, with Val equal to the node's val.
+// the same order, with Val equal to the node's val. The byte path agrees:
+// BuildXML over each tree's Marshal output answers as the walk over the
+// trees those bytes decode to, with every Node nil.
 func TestPropertyBuildMatchesReferenceWalk(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 300; iter++ {
 		docs := randomDocs(r)
-		want := referenceBuild(docs)
 		ix := Build(docs)
-		for _, got := range []readIndex{ix, ix.Freeze()} {
-			if got.Docs() != len(docs) {
-				t.Fatalf("iter %d: Docs = %d; want %d", iter, got.Docs(), len(docs))
-			}
-			if g, w := got.Paths(), want.paths(); !equalStrings(g, w) {
-				t.Fatalf("iter %d: Paths = %v; want %v", iter, g, w)
-			}
-			for _, label := range append(randomTags, "zzz") {
-				if g, w := got.PathsEndingIn(label), want.pathsEndingIn(label); !equalStrings(g, w) {
-					t.Fatalf("iter %d: PathsEndingIn(%s) = %v; want %v", iter, label, g, w)
+		want := referenceBuild(docs)
+		checkAgainstWalk(t, iter, ix, want, len(docs), true)
+		checkAgainstWalk(t, iter, ix.Freeze(), want, len(docs), true)
+
+		// A stored document holds no NUL, which is not an XML character.
+		stored := make([]string, len(docs))
+		decoded := make([]*dom.Node, len(docs))
+		for i, d := range docs {
+			d = d.Clone()
+			d.Walk(func(n *dom.Node) bool {
+				if v, ok := n.Attr(dom.ValAttr); ok {
+					n.SetVal(strings.ReplaceAll(v, "\x00", "\uFFFD"))
 				}
-			}
-			for _, p := range append(want.paths(), "no/such") {
-				if g, w := got.DocFrequency(p), want.docFrequency(p); g != w {
-					t.Fatalf("iter %d: DocFrequency(%s) = %d; want %d", iter, p, g, w)
-				}
-				gp, gok := got.AvgPosition(p)
-				wp, wok := want.avgPosition(p)
-				if gp != wp || gok != wok {
-					t.Fatalf("iter %d: AvgPosition(%s) = %v,%v; want %v,%v", iter, p, gp, gok, wp, wok)
-				}
-				g, w := got.Lookup(p), want.byPath[p]
-				if len(g) != len(w) {
-					t.Fatalf("iter %d: Lookup(%s) has %d postings; want %d", iter, p, len(g), len(w))
-				}
-				for i := range w {
-					if g[i].Doc != w[i].Doc || g[i].Pos != w[i].Pos || g[i].Node != w[i].Node || g[i].Val != w[i].Node.Val() {
-						t.Fatalf("iter %d: Lookup(%s)[%d] = %+v; want %+v with val %q", iter, p, i, g[i], w[i], w[i].Node.Val())
-					}
-				}
+				return true
+			})
+			stored[i] = xmlout.Marshal(d)
+			var err error
+			if decoded[i], err = xmlout.UnmarshalElement(stored[i]); err != nil {
+				t.Fatalf("iter %d: document %d: %v", iter, i, err)
 			}
 		}
+		bx, err := BuildXML(stored)
+		if err != nil {
+			t.Fatalf("iter %d: BuildXML: %v", iter, err)
+		}
+		want = referenceBuild(decoded)
+		checkAgainstWalk(t, iter, bx, want, len(docs), false)
+		checkAgainstWalk(t, iter, bx.Freeze(), want, len(docs), false)
+	}
+}
+
+// checkAgainstWalk compares every read of got, an index of docs
+// documents, with the reference walk.
+// Postings must hold the walk's nodes when nodes is set, and no node
+// otherwise.
+func checkAgainstWalk(t *testing.T, iter int, got readIndex, want *referenceIndex, docs int, nodes bool) {
+	t.Helper()
+	if got.Docs() != docs {
+		t.Fatalf("iter %d: Docs = %d; want %d", iter, got.Docs(), docs)
+	}
+	if g, w := got.Paths(), want.paths(); !equalStrings(g, w) {
+		t.Fatalf("iter %d: Paths = %v; want %v", iter, g, w)
+	}
+	for _, label := range append(randomTags, "zzz") {
+		if g, w := got.PathsEndingIn(label), want.pathsEndingIn(label); !equalStrings(g, w) {
+			t.Fatalf("iter %d: PathsEndingIn(%s) = %v; want %v", iter, label, g, w)
+		}
+	}
+	for _, p := range append(want.paths(), "no/such") {
+		if g, w := got.DocFrequency(p), want.docFrequency(p); g != w {
+			t.Fatalf("iter %d: DocFrequency(%s) = %d; want %d", iter, p, g, w)
+		}
+		gp, gok := got.AvgPosition(p)
+		wp, wok := want.avgPosition(p)
+		if gp != wp || gok != wok {
+			t.Fatalf("iter %d: AvgPosition(%s) = %v,%v; want %v,%v", iter, p, gp, gok, wp, wok)
+		}
+		g, w := got.Lookup(p), want.byPath[p]
+		if len(g) != len(w) {
+			t.Fatalf("iter %d: Lookup(%s) has %d postings; want %d", iter, p, len(g), len(w))
+		}
+		for i := range w {
+			wantNode := w[i].Node
+			if !nodes {
+				wantNode = nil
+			}
+			if g[i].Doc != w[i].Doc || g[i].Pos != w[i].Pos || g[i].Node != wantNode || g[i].Val != w[i].Node.Val() {
+				t.Fatalf("iter %d: Lookup(%s)[%d] = %+v; want %+v with val %q", iter, p, i, g[i], w[i], w[i].Node.Val())
+			}
+		}
+	}
+}
+
+// TestBuildXMLRejectsUndecodable: BuildXML fails on the first document
+// xmlout does not decode, and names it.
+func TestBuildXMLRejectsUndecodable(t *testing.T) {
+	good := xmlout.Marshal(el("resume", el("education")))
+	if _, err := BuildXML([]string{good, good[1:]}); err == nil || !strings.Contains(err.Error(), "document 1") {
+		t.Fatalf("BuildXML over an undecodable document 1: %v", err)
+	}
+	ix, err := BuildXML(nil)
+	if err != nil || ix.Docs() != 0 || len(ix.Paths()) != 0 {
+		t.Fatalf("BuildXML(nil) = %v docs, %v paths, %v; want an empty index", ix.Docs(), ix.Paths(), err)
 	}
 }
 

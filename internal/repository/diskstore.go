@@ -7,10 +7,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
+	"unicode/utf8"
+	"unsafe"
 
 	"webrev/internal/dom"
 	"webrev/internal/obs"
@@ -29,6 +35,7 @@ import (
 //	index.log    — header line `webrev-diskstore v1`, then one JSON line
 //	               per document: {"name":…,"sha":hex,"off":N,"len":N}.
 //	               Lines only ever append; off/len address segment.blob.
+//	               They are read back exactly as written (parseLine).
 //	segment.blob — the XML blob bytes, back to back. A blob is written
 //	               before its index line, so every complete index line
 //	               points at complete data.
@@ -46,7 +53,9 @@ import (
 // error there, and reading never writes.
 //
 // All methods are safe for concurrent use; blob reads use pread
-// (File.ReadAt) so readers never contend on a shared file offset.
+// (File.ReadAt) so readers never contend on a shared file offset. A
+// whole-store pass reads the segment in runs through EachXML instead of
+// one read per document.
 type DiskStore struct {
 	dir string
 	tr  obs.Tracer
@@ -188,13 +197,13 @@ func (s *DiskStore) open(data []byte, heal bool) error {
 // (a crash mid-append) and is left out; a bad line with lines after it is
 // an error.
 func (s *DiskStore) scan(data []byte, segSize int64) (int, error) {
-	header, rest, ok := bytes.Cut(data, []byte("\n"))
-	if !ok || string(header) != diskHeader {
+	header, rest, ok := strings.Cut(viewString(data), "\n")
+	if !ok || header != diskHeader {
 		return 0, fmt.Errorf("unsupported index header %q (want %q)", header, diskHeader)
 	}
 	valid := len(header) + 1
 	for len(rest) > 0 {
-		line, tail, complete := bytes.Cut(rest, []byte("\n"))
+		line, tail, complete := strings.Cut(rest, "\n")
 		e, err := parseLine(line, segSize)
 		if err != nil && complete && len(tail) > 0 {
 			return 0, fmt.Errorf("index line %d: %v", len(s.entries)+2, err)
@@ -225,21 +234,111 @@ func (s *DiskStore) truncate(n, idxLen int) error {
 	return s.seg.Truncate(s.segSize)
 }
 
-// parseLine decodes one index line whose extent must lie inside a segment
-// of segSize bytes.
-func parseLine(line []byte, segSize int64) (diskEntry, error) {
-	var dl diskLine
-	if err := json.Unmarshal(line, &dl); err != nil {
-		return diskEntry{}, err
+// errMalformed is the error of an index line that is not exactly what
+// formatLine writes.
+var errMalformed = errors.New(`malformed line; want {"name":…,"sha":"<64 hex>","off":N,"len":N}`)
+
+// parseLine reads one index line exactly as formatLine writes it,
+// {"name":…,"sha":"<64 lowercase hex>","off":N,"len":N} with the fields in
+// that order and no space, and checks that its extent lies inside a
+// segment of segSize bytes. A name without a backslash is taken verbatim,
+// so it must be valid UTF-8 with no control byte, as encoding/json would
+// read it; only a name that holds an escape goes through encoding/json to
+// be unquoted. Any other line is malformed.
+func parseLine(line string, segSize int64) (diskEntry, error) {
+	var e diskEntry
+	rest, ok := strings.CutPrefix(line, `{"name":"`)
+	if !ok {
+		return e, errMalformed
 	}
-	sum, err := hex.DecodeString(dl.Sha)
-	if err != nil || len(sum) != sha256.Size || dl.Off < 0 || dl.Len < 0 || dl.Off > segSize-int64(dl.Len) {
-		return diskEntry{}, fmt.Errorf("bad sha %q or extent %d+%d outside the %d-byte segment", dl.Sha, dl.Off, dl.Len, segSize)
+	end, escaped := 0, false
+	for ; end < len(rest) && rest[end] != '"'; end++ {
+		if rest[end] == '\\' {
+			escaped = true
+			end++
+		}
 	}
-	e := diskEntry{name: dl.Name, off: dl.Off, n: dl.Len}
-	copy(e.sum[:], sum)
+	if end >= len(rest) {
+		return e, errMalformed
+	}
+	name := rest[:end]
+	switch {
+	case escaped:
+		quoted := line[len(`{"name":`) : len(`{"name":"`)+end+1]
+		if err := json.Unmarshal([]byte(quoted), &e.name); err != nil {
+			return e, errMalformed
+		}
+	case !utf8.ValidString(name) || strings.IndexFunc(name, func(r rune) bool { return r < ' ' }) >= 0:
+		return e, errMalformed
+	default:
+		e.name = strings.Clone(name) // a view would pin the whole index
+	}
+	rest = rest[end+1:]
+	rest, ok = strings.CutPrefix(rest, `,"sha":"`)
+	if !ok || len(rest) <= 2*sha256.Size || rest[2*sha256.Size] != '"' {
+		return e, errMalformed
+	}
+	for i := range e.sum {
+		hi, lo := unhex(rest[2*i]), unhex(rest[2*i+1])
+		if hi < 0 || lo < 0 {
+			return e, errMalformed
+		}
+		e.sum[i] = byte(hi<<4 | lo)
+	}
+	off, rest, ok := cutNumber(rest[2*sha256.Size+1:], `,"off":`, math.MaxInt64)
+	if !ok {
+		return e, errMalformed
+	}
+	n, rest, ok := cutNumber(rest, `,"len":`, math.MaxInt32)
+	if !ok || rest != "}" {
+		return e, errMalformed
+	}
+	if off > segSize-n {
+		return e, fmt.Errorf("extent %d+%d outside the %d-byte segment", off, n, segSize)
+	}
+	e.off, e.n = off, int32(n)
 	return e, nil
 }
+
+// unhex returns the value of a lowercase hex digit, or -1.
+func unhex(c byte) int {
+	switch {
+	case '0' <= c && c <= '9':
+		return int(c - '0')
+	case 'a' <= c && c <= 'f':
+		return int(c - 'a' + 10)
+	}
+	return -1
+}
+
+// cutNumber cuts key and then a non-negative integer at most max, written
+// as encoding/json writes it (no sign, no leading zero), from the start of
+// s.
+func cutNumber(s, key string, max int64) (int64, string, bool) {
+	s, ok := strings.CutPrefix(s, key)
+	i := 0
+	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+		i++
+	}
+	if !ok || i == 0 || i > 1 && s[0] == '0' {
+		return 0, s, false
+	}
+	n, err := strconv.ParseInt(s[:i], 10, 64)
+	if err != nil || n > max {
+		return 0, s, false
+	}
+	return n, s[i:], true
+}
+
+// formatLine returns the index line of one document: diskLine as
+// encoding/json writes it.
+func formatLine(name string, sum [sha256.Size]byte, off int64, n int32) ([]byte, error) {
+	return json.Marshal(diskLine{Name: name, Sha: hex.EncodeToString(sum[:]), Off: off, Len: n})
+}
+
+// viewString returns b's bytes as a string without copying them. Nothing
+// may write b afterwards.
+func viewString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // newDiskStore returns a store over seg with no index handle: read-only
 // until its caller opens index.log for appends.
@@ -293,7 +392,7 @@ func (s *DiskStore) AppendXML(name string, xml []byte) error {
 	}
 	e := diskEntry{name: name, sum: sum, off: s.segSize, n: int32(len(xml))}
 	s.segSize += int64(len(xml))
-	line, err := json.Marshal(diskLine{Name: name, Sha: hex.EncodeToString(sum[:]), Off: e.off, Len: e.n})
+	line, err := formatLine(name, sum, e.off, e.n)
 	if err != nil {
 		return fmt.Errorf("repository: disk store append: %w", err)
 	}
@@ -338,6 +437,43 @@ func (s *DiskStore) XML(i int) ([]byte, error) {
 		return nil, fmt.Errorf("repository: disk store read %d: %w", i, err)
 	}
 	return buf, nil
+}
+
+// maxRun bounds one read of EachXML.
+const maxRun = 4 << 20
+
+// EachXML calls fn with every document's canonical XML bytes, in index
+// order, and stops at fn's first error. It reads the segment sequentially
+// in runs of contiguous extents, at most maxRun bytes each (a larger
+// document is a run of its own; an extent that does not continue its run,
+// shared or out of order, starts the next one). Each run is one read into
+// one buffer, and xml is a view of it with its capacity clipped: no
+// per-document buffer or copy, and no decoded-document LRU. Nothing
+// writes a run after its read, so fn may keep xml, or viewString of it.
+func (s *DiskStore) EachXML(fn func(i int, xml []byte) error) error {
+	s.mu.Lock()
+	entries := s.entries[:len(s.entries):len(s.entries)]
+	s.mu.Unlock()
+	for lo := 0; lo < len(entries); {
+		start, end := entries[lo].off, entries[lo].off+int64(entries[lo].n)
+		hi := lo + 1
+		for ; hi < len(entries) && entries[hi].off == end && end+int64(entries[hi].n)-start <= maxRun; hi++ {
+			end += int64(entries[hi].n)
+		}
+		run := make([]byte, end-start)
+		if _, err := s.seg.ReadAt(run, start); err != nil {
+			return fmt.Errorf("repository: disk store read %d: %w", lo, err)
+		}
+		for i := lo; i < hi; i++ {
+			a := entries[i].off - start
+			b := a + int64(entries[i].n)
+			if err := fn(i, run[a:b:b]); err != nil {
+				return err
+			}
+		}
+		lo = hi
+	}
+	return nil
 }
 
 // Doc returns the i-th document's decoded tree, serving repeats from the

@@ -81,14 +81,11 @@ func (r *Repository) Add(name string, doc *dom.Node) error {
 }
 
 // Index returns the label-path index over the stored documents, building
-// it on first use. Building reads and decodes every document once, which
-// is most of what opening a disk repository to serve it costs. Queries
-// read only the index: each posting carries its node's val. The decoded
-// trees stay resident all the same, because each pathindex.Ref holds its
-// *dom.Node, and a tree from xmlout.UnmarshalElement holds its node slabs
-// and the bytes of its stored blob, which the postings' vals share. So a
-// disk store's bounded LRU does not bound an indexed repository's memory
-// (ROADMAP.md item 5 plans a persistent index).
+// it on first use, with every posting's Ref.Node set: callers that read
+// the trees (webrev query prints each match's tag) use it. Building
+// decodes every document once; a DiskStore's are read through EachXML,
+// not its LRU, and the index keeps every tree resident through Ref.Node.
+// A server needs only postings and vals and builds ServingIndex instead.
 // Index returns nil when a document cannot be read or decoded; Query and
 // Count return that error.
 func (r *Repository) Index() *pathindex.Index {
@@ -99,17 +96,57 @@ func (r *Repository) Index() *pathindex.Index {
 // buildIndex returns the path index, building it if needed. A failed
 // build is not kept, so the next call retries it.
 func (r *Repository) buildIndex() (*pathindex.Index, error) {
-	if r.index == nil {
-		docs := make([]*dom.Node, r.store.Len())
-		for i := range docs {
-			var err error
-			if docs[i], err = r.store.Doc(i); err != nil {
-				return nil, err
-			}
-		}
-		r.index = pathindex.Build(docs)
+	if r.index != nil {
+		return r.index, nil
 	}
+	docs := make([]*dom.Node, r.store.Len())
+	var err error
+	if s, ok := r.store.(*DiskStore); ok {
+		err = s.EachXML(func(i int, xml []byte) error {
+			var err error
+			if docs[i], err = xmlout.UnmarshalElement(viewString(xml)); err != nil {
+				return fmt.Errorf("repository: disk store decode %d: %w", i, err)
+			}
+			return nil
+		})
+	} else {
+		for i := 0; i < len(docs) && err == nil; i++ {
+			docs[i], err = r.store.Doc(i)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.index = pathindex.Build(docs)
 	return r.index, nil
+}
+
+// ServingIndex returns the path index a server answers from: postings
+// that carry Doc, Pos and Val. For a DiskStore it is built straight from
+// the stored bytes, in one sequential read of the segment (EachXML) and
+// one validating decode pass per document that builds no tree
+// (pathindex.BuildXML): no posting holds a Node, and the index keeps the
+// segment's bytes, which its vals share, rather than one tree per
+// document. Any other store hands out trees (a MemStore holds them), so
+// its serving index is Index's, as is an index already built. It fails
+// when a document does not read or decode.
+func (r *Repository) ServingIndex() (*pathindex.Index, error) {
+	s, ok := r.store.(*DiskStore)
+	if !ok || r.index != nil {
+		return r.buildIndex()
+	}
+	docs := make([]string, s.Len())
+	if err := s.EachXML(func(i int, xml []byte) error {
+		docs[i] = viewString(xml)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	ix, err := pathindex.BuildXML(docs)
+	if err != nil {
+		return nil, fmt.Errorf("repository: disk store: %w", err)
+	}
+	return ix, nil
 }
 
 // Query compiles and evaluates a label-path query (see internal/query for
@@ -227,9 +264,11 @@ func LoadDisk(dir string, opts DiskOptions) (*Repository, error) {
 }
 
 // Load opens the repository in dir (as Save or a sharded build writes it)
-// like LoadDisk, then reads it into memory: every document is decoded
-// once, checked against its index SHA-256, validated against the DTD, and
-// indexed. Load closes the directory's files before it returns.
+// like LoadDisk, then reads it into memory through EachXML: every document
+// is checked against its index SHA-256, decoded once, validated against
+// the DTD, and indexed. The decoded trees share their runs' bytes, so no
+// document is copied. Load closes the directory's files before it
+// returns.
 func Load(dir string) (*Repository, error) {
 	disk, err := LoadDisk(dir, DiskOptions{MaxResidentDocs: -1})
 	if err != nil {
@@ -239,20 +278,25 @@ func Load(dir string) (*Repository, error) {
 	defer s.Close()
 	r := New(disk.dtd)
 	docs := make([]*dom.Node, s.Len())
-	for i, e := range s.entries {
-		xml, err := s.XML(i)
-		if err == nil && sha256.Sum256(xml) != e.sum {
+	err = s.EachXML(func(i int, xml []byte) error {
+		e := s.entries[i]
+		var err error
+		if sha256.Sum256(xml) != e.sum {
 			err = fmt.Errorf("bytes do not match the index SHA-256")
 		}
 		if err == nil {
-			docs[i], err = xmlout.UnmarshalElement(string(xml))
+			docs[i], err = xmlout.UnmarshalElement(viewString(xml))
 		}
 		if err == nil {
 			err = r.Add(e.name, docs[i])
 		}
 		if err != nil {
-			return nil, fmt.Errorf("repository: %s: document %d: %w", dir, i, err)
+			return fmt.Errorf("repository: %s: document %d: %w", dir, i, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	r.index = pathindex.Build(docs)
 	return r, nil

@@ -499,3 +499,156 @@ func TestOpenStoreSurvivesSave(t *testing.T) {
 		t.Fatalf("Load after the Save: %v", err)
 	}
 }
+
+// TestParseLineExact: an index line reads only in the one form AppendXML
+// writes; a name with an escape is unquoted as encoding/json would.
+func TestParseLineExact(t *testing.T) {
+	sum := sha256.Sum256([]byte("x"))
+	hexSum := fmt.Sprintf("%x", sum)
+	good, err := formatLine(`a "quoted" \ name`, sum, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := parseLine(string(good), 7)
+	if err != nil || e.name != `a "quoted" \ name` || e.sum != sum || e.off != 3 || e.n != 4 {
+		t.Fatalf("parseLine(%s) = %+v, %v", good, e, err)
+	}
+	if _, err := parseLine(string(good), 6); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("an extent past the segment: %v", err)
+	}
+	line := func(name, sha, off, n string) string {
+		return `{"name":` + name + `,"sha":"` + sha + `","off":` + off + `,"len":` + n + `}`
+	}
+	for _, bad := range []string{
+		line(`"a"`, hexSum, "0", "1") + " ",
+		`{"name": "a","sha":"` + hexSum + `","off":0,"len":1}`,
+		`{"sha":"` + hexSum + `","name":"a","off":0,"len":1}`,
+		line(`"a"`, strings.ToUpper(hexSum), "0", "1"),
+		line(`"a"`, hexSum[2:], "0", "1"),
+		line(`"a"`, hexSum, "01", "1"),
+		line(`"a"`, hexSum, "-1", "1"),
+		line(`"a"`, hexSum, "0", "2147483648"),
+		line(`"a"`, hexSum, "0", "1.0"),
+		line("\"a\x01\"", hexSum, "0", "1"),
+		line("\"a\xff\"", hexSum, "0", "1"),
+		line(`"a\q"`, hexSum, "0", "1"),
+		line(`"a\"`, hexSum, "0", "1"),
+	} {
+		if _, err := parseLine(bad, 1<<20); err == nil {
+			t.Errorf("parseLine accepted %q", bad)
+		}
+	}
+}
+
+// TestEachXMLReadsRuns: EachXML yields every document's bytes in index
+// order, through contiguous runs, extents that are shared, skip forward
+// or go back, and a document larger than one run, without reading
+// through the LRU.
+func TestEachXMLReadsRuns(t *testing.T) {
+	dir := t.TempDir()
+	s, err := CreateDiskStore(dir, DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := []byte(xmlout.Marshal(dom.Elem("resume", []string{"val", strings.Repeat("a", maxRun)})))
+	docs := append(storeDocs(t), big, testDoc("after"))
+	for i, xml := range docs {
+		if err := s.AppendXML(fmt.Sprintf("doc-%d", i), xml); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reorder the index: the last document first, a skip forward and
+	// back, then the rest, and one document twice.
+	data, err := os.ReadFile(filepath.Join(dir, "index.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	order := append([]int{len(docs) - 1, 0, 2, 1}, append(seq(len(docs))[3:], 1)...)
+	shuffled := []string{lines[0]}
+	for _, d := range order {
+		shuffled = append(shuffled, lines[1+d])
+	}
+	mixed := t.TempDir()
+	seg, err := os.ReadFile(filepath.Join(dir, "segment.blob"))
+	if err == nil {
+		err = os.WriteFile(filepath.Join(mixed, "segment.blob"), seg, 0o644)
+	}
+	if err == nil {
+		err = os.WriteFile(filepath.Join(mixed, "index.log"), []byte(strings.Join(shuffled, "\n")+"\n"), 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, want := range map[string][]int{dir: seq(len(docs)), mixed: order} {
+		coll := obs.NewCollector()
+		r, err := openDiskStore(dir, DiskOptions{Tracer: coll}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		err = r.EachXML(func(i int, xml []byte) error {
+			if i != len(got) {
+				t.Fatalf("%s: document %d after %d documents", dir, i, len(got))
+			}
+			d := want[i]
+			got = append(got, d)
+			if !bytes.Equal(xml, docs[d]) || cap(xml) != len(xml) {
+				t.Fatalf("%s: document %d reads %d bytes (cap %d), want document %d's %d", dir, i, len(xml), cap(xml), d, len(docs[d]))
+			}
+			return nil
+		})
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("%s: EachXML read %d of %d documents: %v", dir, len(got), len(want), err)
+		}
+		if coll.Counter(obs.CtrStoreHits)+coll.Counter(obs.CtrStoreMisses) != 0 {
+			t.Fatalf("%s: EachXML read through the LRU", dir)
+		}
+		r.Close()
+	}
+}
+
+// seq returns 0, 1, …, n-1.
+func seq(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// TestIndexSkipsLRU: a disk repository's tree index and serving index
+// both read the segment directly, never the LRU; the tree index holds
+// every node and the serving index none.
+func TestIndexSkipsLRU(t *testing.T) {
+	dir := t.TempDir()
+	if err := repoOf(t, "doc", 5).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	coll := obs.NewCollector()
+	r, err := LoadDisk(dir, DiskOptions{Tracer: coll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Store().Close()
+	sx, err := r.ServingIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := r.Index()
+	if ix == nil {
+		t.Fatal("Index failed")
+	}
+	if diff := indexDiff(sx, ix); diff != "" {
+		t.Fatal(diff)
+	}
+	if n := coll.Counter(obs.CtrStoreHits) + coll.Counter(obs.CtrStoreMisses); n != 0 {
+		t.Fatalf("building the indexes read %d documents through the LRU", n)
+	}
+	if again, err := r.ServingIndex(); err != nil || again != ix {
+		t.Fatalf("ServingIndex after Index = %p, %v; want the built index %p", again, err, ix)
+	}
+}

@@ -218,7 +218,7 @@ func TestChaosCorruptReloadKeepsGeneration(t *testing.T) {
 	s := NewServer(testRepo(t, 3, 0), Options{
 		Reload: func() (*repository.Repository, error) {
 			switch mode.Load() {
-			case 0: // fails ValidateSnapshot: no documents
+			case 0: // fails the snapshot checks: no documents
 				return repository.New(testDTD()), nil
 			case 1:
 				panic("loader blew up")

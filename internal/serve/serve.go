@@ -86,12 +86,35 @@ const (
 	resultCacheSize = 4096
 )
 
-// newIndex builds a snapshot of repo, or fails when its path index cannot
-// be built because a document does not read or decode.
+// newIndex builds the snapshot of repo, the one constructor every
+// generation goes through, and checks that it is fit to serve: the DTD
+// re-parses, the repository is not empty, every document reads and
+// decodes, and the path index is not empty. A reload source mid-write or
+// corrupt on disk fails here, and the server keeps answering from the
+// last good generation. The path index is repo.ServingIndex(): for a
+// disk repository, postings and vals built in one sequential read of the
+// stored bytes, with no tree kept.
 func newIndex(repo *repository.Repository) (*Index, error) {
-	pix := repo.Index()
-	if pix == nil {
-		return nil, fmt.Errorf("serve: snapshot rejected: a document does not read or decode")
+	if repo == nil {
+		return nil, fmt.Errorf("candidate snapshot is nil")
+	}
+	if repo.DTD() == nil {
+		return nil, fmt.Errorf("candidate snapshot has no DTD")
+	}
+	dtdText := repo.DTD().Render()
+	if _, err := dtd.Parse(dtdText); err != nil {
+		return nil, fmt.Errorf("candidate DTD does not re-parse: %w", err)
+	}
+	if repo.Len() == 0 {
+		return nil, fmt.Errorf("candidate snapshot is empty")
+	}
+	pix, err := repo.ServingIndex()
+	if err != nil {
+		return nil, fmt.Errorf("candidate snapshot: %w", err)
+	}
+	frozen := pix.Freeze()
+	if len(frozen.Paths()) == 0 {
+		return nil, fmt.Errorf("candidate snapshot has an empty path index")
 	}
 	names := repo.Names()
 	byName := make(map[string]int, len(names))
@@ -102,8 +125,8 @@ func newIndex(repo *repository.Repository) (*Index, error) {
 		repo:    repo,
 		names:   names,
 		byName:  byName,
-		frozen:  pix.Freeze(),
-		dtdText: repo.DTD().Render(),
+		frozen:  frozen,
+		dtdText: dtdText,
 		results: memo.New[[]byte](resultCacheSize),
 	}, nil
 }
@@ -143,9 +166,9 @@ type Options struct {
 	Faults *faultinject.Stage
 	// Reload, when set, backs POST /api/reload: it produces the next
 	// repository (reloading a directory, rebuilding a corpus) and the
-	// server swaps to it atomically — but only after the candidate passes
-	// ValidateSnapshot; a failing, panicking, or corrupt reload leaves the
-	// current generation serving.
+	// server swaps to it atomically — but only after the candidate's
+	// snapshot passes TrySwap's checks; a failing, panicking, or corrupt
+	// reload leaves the current generation serving.
 	Reload func() (*repository.Repository, error)
 }
 
@@ -281,16 +304,19 @@ func (s *Server) handleDrift(w http.ResponseWriter, _ *http.Request) {
 }
 
 // install builds the next-generation snapshot and publishes it, returning
-// the serving generation. A snapshot whose index cannot be built is
-// rejected like a failed reload, and the current generation keeps serving.
-func (s *Server) install(repo *repository.Repository) uint64 {
+// the serving generation. A snapshot that fails newIndex's checks is
+// rejected like a failed reload: the current generation keeps serving and
+// its number is returned with the error.
+func (s *Server) install(repo *repository.Repository) (uint64, error) {
+	sp := s.tr.StartSpan(obs.StageServeSwap)
+	defer sp.End()
 	ix, err := newIndex(repo)
 	if err != nil {
 		s.rejectReload(err)
 		if cur := s.cur.Load(); cur != nil {
-			return cur.gen
+			return cur.gen, err
 		}
-		return 0
+		return 0, err
 	}
 	ix.gen = s.gen.Add(1)
 	s.cur.Store(ix)
@@ -298,61 +324,30 @@ func (s *Server) install(repo *repository.Repository) uint64 {
 	if s.tr.Enabled() {
 		s.tr.Add(obs.CtrServeSwaps, 1)
 	}
-	return ix.gen
+	return ix.gen, nil
 }
 
 // Swap atomically replaces the serving snapshot with one built from repo
 // and returns the new generation. Readers in flight keep the snapshot they
-// started with; no request is blocked or dropped. Swap trusts its caller —
-// untrusted sources (reload, follow mode) go through Reload or TrySwap,
-// which validate first — but a repo whose documents do not read is still
-// rejected and the current generation returned.
+// started with; no request is blocked or dropped. A repo that fails the
+// snapshot checks (see TrySwap) is rejected and the current generation
+// returned.
 func (s *Server) Swap(repo *repository.Repository) uint64 {
-	sp := s.tr.StartSpan(obs.StageServeSwap)
-	defer sp.End()
-	return s.install(repo)
+	gen, _ := s.install(repo)
+	return gen
 }
 
-// ValidateSnapshot decides whether a candidate repository is fit to serve:
-// non-nil, non-empty, with a parseable DTD and a non-empty path index
-// built from documents that all read and decode. A reload source
-// mid-write or corrupt on disk fails here and the server keeps answering
-// from the last good generation.
-func ValidateSnapshot(repo *repository.Repository) error {
-	if repo == nil {
-		return fmt.Errorf("candidate snapshot is nil")
-	}
-	if repo.DTD() == nil {
-		return fmt.Errorf("candidate snapshot has no DTD")
-	}
-	if _, err := dtd.Parse(repo.DTD().Render()); err != nil {
-		return fmt.Errorf("candidate DTD does not re-parse: %w", err)
-	}
-	if repo.Len() == 0 {
-		return fmt.Errorf("candidate snapshot is empty")
-	}
-	// Counting the root elements builds the path index the install
-	// freezes, so a document that does not read or decode fails here.
-	n, err := repo.Count("/*")
-	if err != nil {
-		return fmt.Errorf("candidate snapshot: %w", err)
-	}
-	if n == 0 {
-		return fmt.Errorf("candidate snapshot has an empty path index")
-	}
-	return nil
-}
-
-// TrySwap validates the candidate and swaps to it; on validation failure
+// TrySwap builds the candidate's snapshot and installs that same snapshot
+// if it passes the checks: a DTD that re-parses, at least one document,
+// every document read and decoded, and a non-empty path index. On failure
 // the current generation keeps serving, the rejection is counted
 // (serve.reload_rejected) and surfaced on /api/stats, and the error is
 // returned. This is the swap follow mode and /api/reload share.
 func (s *Server) TrySwap(repo *repository.Repository) (uint64, error) {
-	if err := ValidateSnapshot(repo); err != nil {
-		s.rejectReload(err)
+	gen, err := s.install(repo)
+	if err != nil {
 		return 0, err
 	}
-	gen := s.Swap(repo)
 	s.clearReloadErr()
 	return gen, nil
 }
@@ -392,7 +387,7 @@ func (s *Server) LastReloadError() string {
 
 // Reload produces the next repository via Options.Reload, validates it,
 // and swaps to it. A loader error or panic, or a candidate that fails
-// ValidateSnapshot, leaves the current generation serving and is recorded
+// TrySwap's checks, leaves the current generation serving and is recorded
 // as a rejected reload. Concurrent reloads are serialized; reads are never
 // blocked.
 func (s *Server) Reload() (uint64, error) {

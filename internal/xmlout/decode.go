@@ -39,24 +39,49 @@ import (
 // input can overrun a slab.
 func UnmarshalElement(src string) (*dom.Node, error) {
 	d := decoderPool.Get().(*decoder)
-	root, err := d.decode(src)
-	// Pooled records must not pin src.
-	clear(d.recs)
-	clear(d.attrs)
-	d.src, d.recs, d.attrs, d.open = "", d.recs[:0], d.attrs[:0], d.open[:0]
-	decoderPool.Put(d)
+	var root *dom.Node
+	err := d.decode(src)
+	if err == nil {
+		root = d.tree()
+	}
+	d.release()
 	return root, err
 }
 
+// EachElement decodes src in UnmarshalElement's one validating pass, so it
+// accepts and rejects exactly the same inputs, but builds no tree. Once
+// the pass succeeds it reports each element in document order: its depth
+// (0 for the root), its name and its val attribute ("" when it has none),
+// which are what Node.Tag and Node.Val would hold. As in UnmarshalElement,
+// the name and val are substrings of src unless the val holds a
+// reference. On an error nothing is reported.
+func EachElement(src string, fn func(depth int, name, val string)) error {
+	d := decoderPool.Get().(*decoder)
+	err := d.decode(src)
+	if err == nil {
+		d.each(fn)
+	}
+	d.release()
+	return err
+}
+
 // decoderPool recycles the decoder's record buffers. No pooled memory
-// reaches the returned tree: decode copies the records into fresh slabs.
+// reaches a caller: tree copies the records into fresh slabs.
 var decoderPool = sync.Pool{New: func() any {
 	d := new(decoder)
 	d.recs, d.attrs, d.open = d.recBuf[:0], d.attrBuf[:0], d.openBuf[:0]
 	return d
 }}
 
-// decoder is the state of one UnmarshalElement pass.
+// release returns d to the pool. Pooled records must not pin src.
+func (d *decoder) release() {
+	clear(d.recs)
+	clear(d.attrs)
+	d.src, d.recs, d.attrs, d.open = "", d.recs[:0], d.attrs[:0], d.open[:0]
+	decoderPool.Put(d)
+}
+
+// decoder is the state of one validating pass.
 type decoder struct {
 	src   string
 	pos   int
@@ -80,23 +105,25 @@ type record struct {
 	attrLo, attrHi int32
 }
 
-func (d *decoder) decode(src string) (*dom.Node, error) {
+// decode is the validating pass: it checks src and records its nodes and
+// attributes in document order.
+func (d *decoder) decode(src string) error {
 	if !strings.HasPrefix(src, xmlHeader) {
-		return nil, fmt.Errorf("xmlout: missing the XML declaration %q", strings.TrimSpace(xmlHeader))
+		return fmt.Errorf("xmlout: missing the XML declaration %q", strings.TrimSpace(xmlHeader))
 	}
 	d.src, d.pos = src, len(xmlHeader)
 	for {
 		if err := d.item(); err != nil {
-			return nil, err
+			return err
 		}
 		if len(d.open) == 0 {
 			break
 		}
 	}
 	if d.pos != len(src) {
-		return nil, d.errorf("content after the root element")
+		return d.errorf("content after the root element")
 	}
-	return d.tree(), nil
+	return nil
 }
 
 func (d *decoder) errorf(format string, args ...any) error {
@@ -407,6 +434,32 @@ func (d *decoder) tree() *dom.Node {
 		}
 	}
 	return &nodes[0]
+}
+
+// each reports the recorded elements to fn in document order. A record's
+// depth is the number of open elements left once those that are not its
+// parent are closed; the open stack is empty after a successful pass.
+func (d *decoder) each(fn func(depth int, name, val string)) {
+	open := d.open
+	for i := range d.recs {
+		r := &d.recs[i]
+		if r.typ != dom.ElementNode {
+			continue
+		}
+		for len(open) > 0 && open[len(open)-1] != r.parent {
+			open = open[:len(open)-1]
+		}
+		val := ""
+		for _, a := range d.attrs[r.attrLo:r.attrHi] {
+			if a.Name == dom.ValAttr {
+				val = a.Value
+				break
+			}
+		}
+		fn(len(open), r.s, val)
+		open = append(open, int32(i))
+	}
+	d.open = open[:0]
 }
 
 // The references each escaper writes (internal/entity).

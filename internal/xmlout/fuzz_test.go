@@ -2,6 +2,7 @@ package xmlout
 
 import (
 	"encoding/xml"
+	"fmt"
 	"io"
 	"os"
 	"slices"
@@ -64,7 +65,10 @@ func storedSeeds(tb testing.TB) []string {
 //     occurs (the two places the old decoder rewrote);
 //   - Marshal writes what the decoder accepts: for the tree t that
 //     fuzzTree builds from b, UnmarshalElement(Marshal(t)) re-marshals to
-//     Marshal(t), and equals t when Marshal wrote t faithfully.
+//     Marshal(t), and equals t when Marshal wrote t faithfully;
+//   - EachElement accepts exactly what UnmarshalElement accepts, with the
+//     same error, and reports the decoded tree's elements in document
+//     order with their depth, name and Val().
 func FuzzCanonicalXML(f *testing.F) {
 	for _, s := range storedSeeds(f) {
 		f.Add(s)
@@ -75,7 +79,9 @@ func FuzzCanonicalXML(f *testing.F) {
 	f.Add(Marshal(sample()))
 	f.Add(Marshal(mixed()))
 	f.Fuzz(func(t *testing.T, b string) {
-		if root, err := UnmarshalElement(b); err == nil {
+		root, err := UnmarshalElement(b)
+		checkEachElement(t, b, root, err)
+		if err == nil {
 			if got := Marshal(root); got != b {
 				t.Fatalf("accepted input does not re-marshal to itself:\n%q\n%q", b, got)
 			}
@@ -101,6 +107,7 @@ func FuzzCanonicalXML(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Marshal output %q does not decode: %v", out, err)
 		}
+		checkEachElement(t, out, got, nil)
 		if again := Marshal(got); again != out {
 			t.Fatalf("Marshal output %q re-marshals to %q", out, again)
 		}
@@ -188,6 +195,45 @@ func fuzzTree(b string) (root *dom.Node, faithful bool) {
 		}
 	}
 	return root, faithful
+}
+
+// element is one element as EachElement reports it.
+type element struct {
+	depth     int
+	name, val string
+}
+
+// checkEachElement checks EachElement on src against UnmarshalElement's
+// result on it, root and err.
+func checkEachElement(t *testing.T, src string, root *dom.Node, err error) {
+	t.Helper()
+	var got []element
+	eachErr := EachElement(src, func(depth int, name, val string) {
+		got = append(got, element{depth, name, val})
+	})
+	if fmt.Sprint(eachErr) != fmt.Sprint(err) {
+		t.Fatalf("EachElement(%q) = %v; UnmarshalElement = %v", src, eachErr, err)
+	}
+	var want []element
+	if err == nil {
+		want = elements(root, 0, nil)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("EachElement(%q) reported\n%v\nwant\n%v", src, got, want)
+	}
+}
+
+// elements appends the elements of the tree at n, at depth, in document
+// order.
+func elements(n *dom.Node, depth int, out []element) []element {
+	if n.Type != dom.ElementNode {
+		return out
+	}
+	out = append(out, element{depth, n.Tag, n.Val()})
+	for _, c := range n.Children {
+		out = elements(c, depth+1, out)
+	}
+	return out
 }
 
 // names appends every element and attribute name of the tree to out.
